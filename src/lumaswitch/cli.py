@@ -65,15 +65,19 @@ def _segment_one(image: ImageBuffer, args, filt, model_pair) -> SegmentationResu
     return algorithm3_sigma_connect(image, filt, vote_threshold=args.vote_threshold)
 
 
+def _load_model(path: str):
+    try:
+        return mlp.load_model(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _require_model(args):
     if args.strategy != "ann":
         return None
     if not args.model:
         raise ConfigError("--model is required with --strategy ann")
-    try:
-        return mlp.load_model(args.model)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _load_model(args.model)
 
 
 def _write_artifacts(result: SegmentationResult, stem: str, out_dir: Path) -> None:
@@ -95,58 +99,48 @@ def _report_line(result: SegmentationResult, filt, *, file: str, **extra) -> str
     return json.dumps(rec)
 
 
-def cmd_segment(args) -> int:
+def _drive(args, entries) -> int:
+    """The segment/stream loop over (file, artifact stem, extra report
+    fields) entries: load, segment, write artifacts and one report line.
+    An unreadable input is skipped and makes the exit code 1."""
     filt = _load_filter(args)
     model_pair = _require_model(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
+    delay_us = getattr(args, "delay_us", 0)
     status = EXIT_OK
     with open(report_path, "a") as report:
-        for input_path in args.inputs:
+        for file, stem, extra in entries:
             try:
-                image = load_image(input_path)
+                image = load_image(file)
             except (OSError, ValueError) as exc:
-                print(f"skipping {input_path}: {exc}", file=sys.stderr)
+                print(f"skipping {file}: {exc}", file=sys.stderr)
                 status = EXIT_RUNTIME
                 continue
             result = _segment_one(image, args, filt, model_pair)
-            stem = Path(input_path).stem
             _write_artifacts(result, stem, out_dir)
-            line = _report_line(result, filt, file=str(input_path))
+            line = _report_line(result, filt, file=file, **extra)
             report.write(line + "\n")
             print(line)
+            if delay_us:
+                time.sleep(delay_us / 1_000_000)
     return status
+
+
+def cmd_segment(args) -> int:
+    return _drive(args, [(str(p), Path(p).stem, {}) for p in args.inputs])
 
 
 def cmd_stream(args) -> int:
-    filt = _load_filter(args)
-    model_pair = _require_model(args)
-    frame_dir = Path(args.frames)
-    frames = sorted(p for p in frame_dir.glob("*.ppm"))
+    frames = sorted(Path(args.frames).glob("*.ppm"))
     if not frames:
-        print(f"no PPM frames in {frame_dir}", file=sys.stderr)
+        print(f"no PPM frames in {args.frames}", file=sys.stderr)
         return EXIT_RUNTIME
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
-    status = EXIT_OK
-    with open(report_path, "a") as report:
-        for index, path in enumerate(frames):
-            try:
-                image = load_image(path)
-            except (OSError, ValueError) as exc:
-                print(f"skipping frame {path}: {exc}", file=sys.stderr)
-                status = EXIT_RUNTIME
-                continue
-            result = _segment_one(image, args, filt, model_pair)
-            _write_artifacts(result, f"{path.stem}.frame{index:06d}", out_dir)
-            line = _report_line(result, filt, file=str(path), frame=index)
-            report.write(line + "\n")
-            print(line)
-            if args.delay_us:
-                time.sleep(args.delay_us / 1_000_000)
-    return status
+    return _drive(
+        args,
+        [(str(p), f"{p.stem}.frame{i:06d}", {"frame": i}) for i, p in enumerate(frames)],
+    )
 
 
 def _read_manifest(path: str) -> list[tuple[str, ColorSpaceId]]:
@@ -211,7 +205,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, norm = mlp.load_model(args.model)
+    model, norm = _load_model(args.model)
     entries = _read_manifest(args.manifest)
     rows = _manifest_features(entries)
     confusion = np.zeros((3, 3), dtype=int)

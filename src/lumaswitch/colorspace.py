@@ -86,19 +86,15 @@ def image_to_hsv(image: ImageBuffer) -> np.ndarray:
     rgb = image.pixels.astype(np.float64) / 255.0
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    delta = mx - mn
-    safe = np.where(delta == 0.0, 1.0, delta)
-    h = np.zeros_like(mx)
-    sel = (delta > 0) & (mx == r)
-    h[sel] = (((g - b)[sel] / safe[sel]) % 6.0) / 6.0
-    sel = (delta > 0) & (mx == g) & (mx != r)
-    h[sel] = ((b - r)[sel] / safe[sel] + 2.0) / 6.0
-    sel = (delta > 0) & (mx == b) & (mx != r) & (mx != g)
-    h[sel] = ((r - g)[sel] / safe[sel] + 4.0) / 6.0
-    h %= 1.0
-    s = np.where(mx == 0.0, 0.0, delta / np.where(mx == 0.0, 1.0, mx))
-    return np.stack([h, s, mx], axis=-1)
+    delta = mx - rgb.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.select(
+            [delta == 0.0, mx == r, mx == g],
+            [0.0, ((g - b) / delta) % 6.0 / 6.0, ((b - r) / delta + 2.0) / 6.0],
+            ((r - g) / delta + 4.0) / 6.0,
+        )
+        s = np.where(mx == 0.0, 0.0, delta / mx)
+    return np.stack([h % 1.0, s, mx], axis=-1)
 
 
 def image_to_ycbcr(image: ImageBuffer) -> np.ndarray:

@@ -262,6 +262,9 @@ def load_model(path: str | os.PathLike) -> tuple[MlpModel, Normalization]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{os.fspath(path)}: malformed model file: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{os.fspath(path)}: unsupported model format_version {version!r}")
     try:
         hidden = int(doc["hidden_count"])
         w1 = np.array(doc["w1"], dtype=np.float64)

@@ -252,7 +252,9 @@ def parse_filter_config(text: str, base: SkinRangeFilter | None = None) -> SkinR
         try:
             num = float(value.strip())
         except ValueError:
-            raise ValueError(f"filter config line {lineno}: bad value {value.strip()!r}") from None
+            num = np.nan
+        if not np.isfinite(num):
+            raise ValueError(f"filter config line {lineno}: bad value {value.strip()!r}")
         table[space][_CONFIG_SLOTS[(space, channel)]][side == "hi"] = num
     return SkinRangeFilter(
         rgb=tuple(ChannelRange(lo, hi) for lo, hi in table["rgb"]),

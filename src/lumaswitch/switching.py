@@ -1,7 +1,8 @@
 """The segmentation pipeline and the three color-space switching strategies.
 
 Pipeline per space: range filter -> 3x3 majority denoise -> largest
-8-connected blob -> overlay onto the original image.
+8-connected blob.  Each strategy overlays only the mask it returns onto
+the original image.
 
 Strategies:
   * ann:          a trained network picks the space from the image's
@@ -48,7 +49,6 @@ class RoutineOutput:
     raw_mask: BinaryMask  # straight filter output, pre-denoise
     mask: BinaryMask  # post-denoise, largest blob only
     blob_size: int
-    overlay: ImageBuffer
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ class SegmentationResult:
     blob_size: int
     overlay: ImageBuffer
     per_space_sizes: dict[str, int]
-    raw_mask: BinaryMask  # pre-denoise mask of the chosen (or first) space
+    # pre-denoise filter output of the chosen space; for sigmaconnect, the
+    # same vote_threshold vote taken over the three spaces' filter outputs
+    raw_mask: BinaryMask
 
 
 def bayesian_routine(
@@ -69,9 +71,7 @@ def bayesian_routine(
     raw = apply_filter(image, space, filt)
     cleaned = denoise(raw)
     blob, size = largest_component(cleaned)
-    return RoutineOutput(
-        raw_mask=raw, mask=blob, blob_size=size, overlay=overlay(image, blob)
-    )
+    return RoutineOutput(raw_mask=raw, mask=blob, blob_size=size)
 
 
 def algorithm1_ann_switch(
@@ -89,7 +89,7 @@ def algorithm1_ann_switch(
         chosen=chosen.label,
         mask=run.mask,
         blob_size=run.blob_size,
-        overlay=run.overlay,
+        overlay=overlay(image, run.mask),
         per_space_sizes={chosen.label: run.blob_size},
         raw_mask=run.raw_mask,
     )
@@ -107,7 +107,7 @@ def algorithm2_max_connected(
         chosen=chosen.label,
         mask=run.mask,
         blob_size=run.blob_size,
-        overlay=run.overlay,
+        overlay=overlay(image, run.mask),
         per_space_sizes={s.label: runs[s].blob_size for s in ColorSpaceId},
         raw_mask=run.raw_mask,
     )
@@ -125,6 +125,7 @@ def algorithm3_sigma_connect(
     votes = sum(runs[s].mask.bits.astype(np.int8) for s in ColorSpaceId)
     combined = BinaryMask(votes >= vote_threshold)
     blob, size = largest_component(combined)
+    raw_votes = sum(runs[s].raw_mask.bits.astype(np.int8) for s in ColorSpaceId)
     return SegmentationResult(
         strategy="sigmaconnect",
         chosen=COMBINED,
@@ -132,5 +133,5 @@ def algorithm3_sigma_connect(
         blob_size=size,
         overlay=overlay(image, blob),
         per_space_sizes={s.label: runs[s].blob_size for s in ColorSpaceId},
-        raw_mask=runs[ColorSpaceId.RGB].raw_mask,
+        raw_mask=BinaryMask(raw_votes >= vote_threshold),
     )

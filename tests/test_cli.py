@@ -212,6 +212,67 @@ def test_stream_mixed_dimensions(tmp_path):
     assert [l["blob_size"] for l in lines] == [0, 256]
 
 
+def stream_frames(tmp_path):
+    """Three frames a stream and a segment run can both read."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    images = [make_patch_image(with_salt=True), make_image(6, 9, (60, 20, 10)), make_patch_image()]
+    return frames, [write_ppm(frames / f"f{i:03d}.ppm", img) for i, img in enumerate(images)]
+
+
+@pytest.mark.parametrize("strategy", [["maxconnected"], ["sigmaconnect", "--vote-threshold", "2"]])
+def test_segment_and_stream_write_the_same_outputs(tmp_path, strategy):
+    frames, paths = stream_frames(tmp_path)
+    seg, stream = tmp_path / "seg", tmp_path / "stream"
+    flags = ["--strategy", *strategy]
+    assert main(["segment", *flags, "--out-dir", str(seg), *paths]) == 0
+    assert main(["stream", *flags, "--out-dir", str(stream), str(frames)]) == 0
+
+    seg_lines = [json.loads(l) for l in (seg / "report.jsonl").read_text().splitlines()]
+    stream_lines = [json.loads(l) for l in (stream / "report.jsonl").read_text().splitlines()]
+    assert [l.pop("file") for l in seg_lines] == paths
+    assert [l.pop("file") for l in stream_lines] == paths
+    assert [l.pop("frame") for l in stream_lines] == [0, 1, 2]
+    assert seg_lines == stream_lines
+    for i in range(3):
+        for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
+            seg_bytes = (seg / f"f{i:03d}.{kind}").read_bytes()
+            assert seg_bytes == (stream / f"f{i:03d}.frame{i:06d}.{kind}").read_bytes()
+
+
+def test_stream_skips_truncated_middle_frame(tmp_path):
+    frames, paths = stream_frames(tmp_path)
+    middle = frames / "f001.ppm"
+    middle.write_bytes(middle.read_bytes()[:-10])
+    out = tmp_path / "out"
+    assert main(["stream", "--out-dir", str(out), str(frames)]) == 1
+    lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    assert [l["frame"] for l in lines] == [0, 2]
+    assert [l["file"] for l in lines] == [paths[0], paths[2]]
+    assert (out / "f002.frame000002.mask.pgm").exists()
+    assert not list(out.glob("f001.*"))
+
+
+def test_malformed_model_is_a_config_error_in_eval_and_segment(tmp_path):
+    manifest = write_manifest(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    img_path = write_ppm(tmp_path / "x.ppm", make_image(4, 4))
+    out = str(tmp_path / "o")
+    assert main(["eval", str(manifest), "--model", str(bad)]) == 2
+    assert main(["segment", "--strategy", "ann", "--model", str(bad), "--out-dir", out, img_path]) == 2
+
+
+def test_non_finite_filter_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_text("rgb.r.lo = nan\n")
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
+    out = tmp_path / "out"
+    assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 2
+    assert "line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filter_config_env_fallback(tmp_path, monkeypatch):
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.lo = 250\nrgb.g.lo = 0\nrgb.b.lo = 0\n")

@@ -1,4 +1,5 @@
 import colorsys
+import itertools
 import json
 
 import numpy as np
@@ -86,15 +87,18 @@ def test_ycbcr_gray_neutral_chroma():
 
 
 def test_vectorized_conversions_match_scalar():
+    # a 17-step grid per channel holds every tie of the max channel
+    # (r = g, g = b, r = b, all equal) next to random colours
+    steps = list(range(0, 256, 16)) + [255]
+    grid = np.array(list(itertools.product(steps, repeat=3)), dtype=np.uint8)
     rng = np.random.default_rng(5)
-    img = ImageBuffer(rng.integers(0, 256, (13, 7, 3), dtype=np.uint8))
+    colors = np.concatenate([grid, rng.integers(0, 256, (91, 3), dtype=np.uint8)])
+    img = ImageBuffer(colors[:, None, :])
     hsv = image_to_hsv(img)
     ycc = image_to_ycbcr(img)
-    for y in range(13):
-        for x in range(7):
-            px = tuple(int(v) for v in img.pixels[y, x])
-            assert hsv[y, x] == pytest.approx(tuple(rgb_to_hsv(px)), abs=1e-12)
-            assert ycc[y, x] == pytest.approx(tuple(rgb_to_ycbcr(px)), abs=1e-9)
+    for i, px in enumerate(colors.tolist()):
+        assert tuple(hsv[i, 0]) == rgb_to_hsv(px)
+        assert tuple(ycc[i, 0]) == rgb_to_ycbcr(px)
 
 
 def test_feature_vector_constant_image():

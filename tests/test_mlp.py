@@ -265,3 +265,16 @@ def test_load_model_dimension_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="hidden_count"):
         load_model(path)
+
+
+@pytest.mark.parametrize("version", [99, None, "1", "missing"])
+def test_load_model_rejects_other_format_versions(tmp_path, version):
+    doc = _published_fixture_doc()
+    if version == "missing":
+        del doc["format_version"]
+    else:
+        doc["format_version"] = version
+    path = tmp_path / "version.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format_version"):
+        load_model(path)

@@ -214,6 +214,12 @@ def test_parse_filter_config_bad_value():
         parse_filter_config("rgb.r.lo = many\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+def test_parse_filter_config_rejects_non_finite_bound(value):
+    with pytest.raises(ValueError, match="line 2: bad value"):
+        parse_filter_config(f"rgb.g.lo = 10\nrgb.r.lo = {value}\n")
+
+
 def test_color_space_parse():
     assert ColorSpaceId.parse("rgb") == ColorSpaceId.RGB
     assert ColorSpaceId.parse("YCbCr") == ColorSpaceId.YCBCR

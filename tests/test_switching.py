@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lumaswitch.blobs import largest_component
-from lumaswitch.imaging import BinaryMask, ImageBuffer
+from lumaswitch.imaging import BinaryMask, ImageBuffer, overlay
 from lumaswitch.mlp import MlpModel, Normalization
-from lumaswitch.skinfilter import ColorSpaceId, default_filter
+from lumaswitch.skinfilter import ColorSpaceId, apply_filter, default_filter
 from lumaswitch.switching import (
     COMBINED,
     algorithm1_ann_switch,
@@ -43,15 +43,20 @@ def test_routine_patch_fixture_all_spaces(space, patch_image):
     run = bayesian_routine(patch_image, space, default_filter())
     assert run.mask == patch_mask()
     assert run.blob_size == 256
-    assert np.array_equal(run.overlay.pixels, patch_image.pixels)
+    result = algorithm1_ann_switch(patch_image, *forcing_model(space), default_filter())
+    assert result.overlay == overlay(patch_image, run.mask)
+    assert np.array_equal(result.overlay.pixels, patch_image.pixels)
 
 
 @pytest.mark.parametrize("space", list(ColorSpaceId))
 def test_routine_black_image(space):
-    run = bayesian_routine(make_image(16, 16), space, default_filter())
+    image = make_image(16, 16)
+    run = bayesian_routine(image, space, default_filter())
     assert run.blob_size == 0
     assert not run.mask.bits.any()
-    assert not run.overlay.pixels.any()
+    result = algorithm1_ann_switch(image, *forcing_model(space), default_filter())
+    assert result.overlay == overlay(image, run.mask)
+    assert not result.overlay.pixels.any()
 
 
 @pytest.mark.parametrize("space", list(ColorSpaceId))
@@ -84,7 +89,7 @@ def test_algorithm1_equals_direct_routine():
             direct = bayesian_routine(image, space, filt)
             assert result.mask == direct.mask
             assert result.blob_size == direct.blob_size
-            assert result.overlay == direct.overlay
+            assert result.overlay == overlay(image, direct.mask)
             assert result.raw_mask == direct.raw_mask
 
 
@@ -120,10 +125,12 @@ def test_algorithm2_matches_independent_recomputation():
     for _ in range(10):
         image = ImageBuffer(rng.integers(0, 256, (24, 24, 3), dtype=np.uint8))
         result = algorithm2_max_connected(image, filt)
-        sizes = {s.label: bayesian_routine(image, s, filt).blob_size for s in ColorSpaceId}
+        runs = {s.label: bayesian_routine(image, s, filt) for s in ColorSpaceId}
+        sizes = {label: run.blob_size for label, run in runs.items()}
         assert result.per_space_sizes == sizes
         assert result.blob_size == max(sizes.values())
         assert sizes[result.chosen] == max(sizes.values())
+        assert result.overlay == overlay(image, runs[result.chosen].mask)
 
 
 def test_algorithm3_patch_fixture(patch_image):
@@ -153,6 +160,7 @@ def test_algorithm3_equals_or_of_blobs_plus_largest():
         expected, size = largest_component(BinaryMask(union))
         assert result.mask == expected
         assert result.blob_size == size
+        assert result.overlay == overlay(image, expected)
 
 
 def test_algorithm3_vote_threshold_three(patch_image):
@@ -162,6 +170,18 @@ def test_algorithm3_vote_threshold_three(patch_image):
     # the YCbCr-only region never reaches 3 votes
     result = algorithm3_sigma_connect(two_region_image(), default_filter(), vote_threshold=3)
     assert result.blob_size == 0
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_algorithm3_raw_mask_is_vote_over_filter_masks(threshold, salted_patch_image):
+    rng = np.random.default_rng(64)
+    filt = default_filter()
+    images = [salted_patch_image, two_region_image()]
+    images += [ImageBuffer(rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)) for _ in range(5)]
+    for image in images:
+        result = algorithm3_sigma_connect(image, filt, vote_threshold=threshold)
+        votes = sum(apply_filter(image, s, filt).bits.astype(int) for s in ColorSpaceId)
+        assert result.raw_mask == BinaryMask(votes >= threshold)
 
 
 def test_algorithm3_rejects_bad_threshold(patch_image):
@@ -179,6 +199,25 @@ def test_blob_size_equals_popcount_for_all_strategies(salted_patch_image):
     ]
     for result in results:
         assert result.blob_size == result.mask.count()
+
+
+def test_each_strategy_overlays_once(monkeypatch, salted_patch_image):
+    import lumaswitch.switching as switching
+
+    calls = []
+
+    def counting_overlay(image, mask):
+        calls.append(mask)
+        return overlay(image, mask)
+
+    monkeypatch.setattr(switching, "overlay", counting_overlay)
+    filt = default_filter()
+    results = [
+        algorithm1_ann_switch(salted_patch_image, *forcing_model(ColorSpaceId.HSV), filt),
+        algorithm2_max_connected(salted_patch_image, filt),
+        algorithm3_sigma_connect(salted_patch_image, filt),
+    ]
+    assert calls == [result.mask for result in results]
 
 
 def test_strategies_deterministic(patch_image):
