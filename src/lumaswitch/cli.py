@@ -102,7 +102,9 @@ def _report_line(result: SegmentationResult, filt, *, file: str, **extra) -> str
 def _drive(args, entries) -> int:
     """The segment/stream loop over (file, artifact stem, extra report
     fields) entries: load, segment, write artifacts and one report line.
-    An unreadable input is skipped and makes the exit code 1."""
+    The report is truncated, once the configuration has loaded, so it
+    holds this run's lines only.  An unreadable input is skipped and makes
+    the exit code 1."""
     filt = _load_filter(args)
     model_pair = _require_model(args)
     out_dir = Path(args.out_dir)
@@ -110,7 +112,7 @@ def _drive(args, entries) -> int:
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
     delay_us = getattr(args, "delay_us", 0)
     status = EXIT_OK
-    with open(report_path, "a") as report:
+    with open(report_path, "w") as report:
         for file, stem, extra in entries:
             try:
                 image = load_image(file)

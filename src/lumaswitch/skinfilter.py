@@ -228,7 +228,9 @@ _CONFIG_SLOTS = {
 def parse_filter_config(text: str, base: SkinRangeFilter | None = None) -> SkinRangeFilter:
     """Apply "space.channel.lo/hi = value" lines on top of the defaults.
 
-    Blank lines and '#' comments are ignored; unknown keys are errors.
+    Blank lines and '#' comments are ignored; unknown keys are errors, and
+    so are values outside the channel's domain: [0, 255] for RGB and
+    YCbCr, [0, 1] for HSV.
     """
     base = base or default_filter()
     table = {
@@ -249,12 +251,16 @@ def parse_filter_config(text: str, base: SkinRangeFilter | None = None) -> SkinR
         space, channel, side = parts
         if (space, channel) not in _CONFIG_SLOTS:
             raise ValueError(f"filter config line {lineno}: bad key {key.strip()!r}")
+        top = 1.0 if space == "hsv" else 255.0
         try:
             num = float(value.strip())
         except ValueError:
             num = np.nan
-        if not np.isfinite(num):
-            raise ValueError(f"filter config line {lineno}: bad value {value.strip()!r}")
+        if not 0.0 <= num <= top:  # also rejects nan and inf
+            raise ValueError(
+                f"filter config line {lineno}: bad value {value.strip()!r}"
+                f" (not in [0, {top:g}])"
+            )
         table[space][_CONFIG_SLOTS[(space, channel)]][side == "hi"] = num
     return SkinRangeFilter(
         rgb=tuple(ChannelRange(lo, hi) for lo, hi in table["rgb"]),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lumaswitch.blobs import denoise, label_components, largest_component
 from lumaswitch.imaging import BinaryMask
@@ -54,15 +55,88 @@ def test_sizes_sum_to_popcount():
 
 
 def test_labeling_matches_flood_fill_oracle():
+    # the oracle's parts, numbered by their first pixel in scan order, must
+    # be exactly the labels 1, 2, ... with matching sizes
     rng = np.random.default_rng(32)
     for _ in range(300):
         mask = random_mask(rng)
         lab = label_components(mask)
-        got = set()
-        for label in range(1, lab.count + 1):
-            ys, xs = np.nonzero(lab.labels == label)
-            got.add(frozenset(zip(ys.tolist(), xs.tolist())))
-        assert got == flood_fill_components(mask)
+        parts = sorted(flood_fill_components(mask), key=min)
+        expected = np.zeros(mask.bits.shape, dtype=np.int32)
+        for label, part in enumerate(parts, 1):
+            ys, xs = zip(*part)
+            expected[list(ys), list(xs)] = label
+        assert np.array_equal(lab.labels, expected)
+        assert lab.sizes == tuple(len(part) for part in parts)
+
+
+def _assert_matches_scipy(bits):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    expected, count = ndimage.label(bits, structure=np.ones((3, 3)))
+    lab = label_components(BinaryMask(bits))
+    assert np.array_equal(lab.labels, expected)
+    assert lab.sizes == tuple(np.bincount(expected.ravel(), minlength=count + 1)[1:].tolist())
+
+
+def test_labeling_matches_scipy_label():
+    pytest.importorskip("scipy.ndimage")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, shapes))
+    def check(bits):
+        _assert_matches_scipy(bits)
+
+    check()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1)])
+def test_single_row_and_column_masks(shape):
+    bits = (np.arange(shape[0] * shape[1]) % 5 < 3).reshape(shape)
+    lab = label_components(BinaryMask(bits))
+    assert lab.sizes == ((1,) if bits.size == 1 else (3,) * 5)
+    assert lab.labels.ravel().tolist() == [
+        (i // 5 + 1) if i % 5 < 3 else 0 for i in range(bits.size)
+    ]
+
+
+def test_runs_touching_both_borders():
+    # a full-width row with a one-pixel run under each end, then, after a
+    # blank row, a run at each border and a pixel diagonal to the left one
+    bits = np.zeros((5, 7), dtype=bool)
+    bits[0, :] = True
+    bits[1, 0] = bits[1, 6] = True
+    bits[3, 0:2] = bits[3, 5:7] = True
+    bits[4, 2] = True
+    lab = label_components(BinaryMask(bits))
+    assert lab.sizes == (9, 3, 2)
+    assert lab.labels[3, 0] == 2 and lab.labels[4, 2] == 2 and lab.labels[3, 6] == 3
+
+
+def test_diagonal_staircase_is_one_component():
+    # a one-pixel V whose arms step down-right and down-left; every link in
+    # the chain is diagonal, and the arms meet only at the bottom pixel
+    bits = np.zeros((6, 11), dtype=bool)
+    k = np.arange(6)
+    bits[k, k] = bits[k, 10 - k] = True
+    lab = label_components(BinaryMask(bits))
+    assert lab.sizes == (11,)
+    assert np.array_equal(lab.labels, bits.astype(np.int32))
+    bits[5, 5] = False
+    lab = label_components(BinaryMask(bits))
+    assert lab.sizes == (5, 5)
+    assert lab.labels[4, 4] == 1 and lab.labels[4, 6] == 2
+
+
+def test_full_hd_two_ellipses_match_scipy():
+    yy, xx = np.mgrid[:1080, :1920]
+    bits = ((yy - 300) / 200) ** 2 + ((xx - 500) / 350) ** 2 < 1
+    bits |= ((yy - 700) / 300) ** 2 + ((xx - 1400) / 400) ** 2 < 1
+    _assert_matches_scipy(bits)
 
 
 def test_largest_component_fixture():

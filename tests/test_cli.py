@@ -273,6 +273,26 @@ def test_non_finite_filter_bound_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_of_domain_filter_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_text("# red floor\nrgb.r.lo = 300\n")
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
+    out = tmp_path / "out"
+    assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rerun_into_same_out_dir_leaves_one_report_line(tmp_path):
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
+    out = tmp_path / "out"
+    for _ in range(2):
+        assert main(["segment", "--out-dir", str(out), img_path]) == 0
+    lines = (out / "report.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["file"] == img_path
+
+
 def test_filter_config_env_fallback(tmp_path, monkeypatch):
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.lo = 250\nrgb.g.lo = 0\nrgb.b.lo = 0\n")

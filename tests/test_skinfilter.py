@@ -220,6 +220,20 @@ def test_parse_filter_config_rejects_non_finite_bound(value):
         parse_filter_config(f"rgb.g.lo = 10\nrgb.r.lo = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["rgb.r.lo = 300", "rgb.b.hi = -1", "ycbcr.cr.hi = 255.5", "hsv.h.lo = -0.01", "hsv.v.hi = 1.2"],
+)
+def test_parse_filter_config_rejects_out_of_domain_bound(line):
+    with pytest.raises(ValueError, match=r"line 2: bad value .*\(not in \[0, "):
+        parse_filter_config(f"rgb.g.lo = 10\n{line}\n")
+
+
+def test_parse_filter_config_accepts_domain_edges():
+    f = parse_filter_config("rgb.r.lo = 0\nycbcr.cr.hi = 255\nhsv.h.lo = 0\nhsv.v.hi = 1\n")
+    assert (f.rgb[0].lo, f.ycbcr[1].hi, f.hsv[0].lo, f.hsv[2].hi) == (0, 255, 0, 1)
+
+
 def test_color_space_parse():
     assert ColorSpaceId.parse("rgb") == ColorSpaceId.RGB
     assert ColorSpaceId.parse("YCbCr") == ColorSpaceId.YCBCR
