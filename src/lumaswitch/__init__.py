@@ -11,6 +11,7 @@ from .skinfilter import (
     calibrate_ranges,
     classify_pixel,
     default_filter,
+    to_space,
 )
 from .switching import (
     SegmentationResult,

@@ -23,7 +23,9 @@ import numpy as np
 from . import mlp
 from .colorspace import feature_vector
 from .imaging import ImageBuffer, load_image, save_image, save_mask
-from .skinfilter import ColorSpaceId, SkinRangeFilter, default_filter, parse_filter_config
+from .skinfilter import (
+    ColorSpaceId, SkinRangeFilter, default_filter, parse_filter_config, to_space
+)
 from .switching import (
     SegmentationResult,
     algorithm1_ann_switch,
@@ -176,7 +178,8 @@ def _manifest_features(entries) -> list[tuple]:
             image = load_image(image_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read image {image_path}: {exc}") from exc
-        rows.append((image_path, feature_vector(image), space))
+        planes = [to_space(image, s) for s in ColorSpaceId]
+        rows.append((image_path, feature_vector(planes), space))
     return rows
 
 

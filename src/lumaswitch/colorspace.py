@@ -85,8 +85,8 @@ def image_to_hsv(image: ImageBuffer) -> np.ndarray:
     """Per-pixel HSV planes, shape (h, w, 3) float64."""
     rgb = image.pixels.astype(np.float64) / 255.0
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = rgb.max(axis=-1)
-    delta = mx - rgb.min(axis=-1)
+    mx = np.maximum(np.maximum(r, g), b)
+    delta = mx - np.minimum(np.minimum(r, g), b)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.select(
             [delta == 0.0, mx == r, mx == g],
@@ -124,13 +124,6 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, k) for k in FEATURE_KEYS], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, a) -> "FeatureVector":
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (9,):
-            raise ValueError(f"feature vector needs 9 components, got shape {a.shape}")
-        return cls(*(float(x) for x in a))
-
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in FEATURE_KEYS})
 
@@ -140,13 +133,10 @@ class FeatureVector:
         return cls(**{k: float(obj[k]) for k in FEATURE_KEYS})
 
 
-def feature_vector(image: ImageBuffer) -> FeatureVector:
-    """Mean of each of the 9 channels over all pixels."""
-    if image.width * image.height == 0:
-        raise ValueError("cannot compute features of an empty image")
-    hsv = image_to_hsv(image)
-    ycc = image_to_ycbcr(image)
-    rgb = image.pixels.astype(np.float64)
+def feature_vector(planes) -> FeatureVector:
+    """Mean of each of the 9 channels over all pixels, from an image's
+    RGB, HSV and YCbCr planes in that order (``skinfilter.to_space``)."""
+    rgb, hsv, ycc = planes
     means = [hsv[..., i].mean() for i in range(3)]
     means += [ycc[..., i].mean() for i in range(3)]
     means += [rgb[..., i].mean() for i in range(3)]

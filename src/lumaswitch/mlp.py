@@ -117,7 +117,6 @@ class TrainConfig:
     epochs: int = 500
     hidden_count: int = 15
     seed: int = 0
-    normalization: Normalization | None = None  # None = fit z-score from data
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -207,7 +206,7 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
         raise ValueError("training set is empty")
     x = np.stack([_as_feature_array(f) for f, _ in examples])
     targets = np.array([int(t) for _, t in examples])
-    norm = cfg.normalization or Normalization.fit(x)
+    norm = Normalization.fit(x)
     xh = norm.apply(x)
 
     model = init_model(cfg.hidden_count, cfg.seed)

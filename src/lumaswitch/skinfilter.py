@@ -1,4 +1,4 @@
-"""Per-color-space range classification of pixels into skin / non-skin.
+"""Per-color-space planes (``to_space``) and their range test into skin / non-skin.
 
 Default ranges (all bounds inclusive):
 
@@ -29,6 +29,7 @@ __all__ = [
     "SkinRangeFilter",
     "default_filter",
     "classify_pixel",
+    "to_space",
     "apply_filter",
     "calibrate_ranges",
     "parse_filter_config",
@@ -127,14 +128,17 @@ def classify_pixel(space: ColorSpaceId, pixel: Sequence[float], filt: SkinRangeF
     return all(r.contains(float(pixel[i])) for i, r in _ranges_for(space, filt))
 
 
-def apply_filter(image: ImageBuffer, space: ColorSpaceId, filt: SkinRangeFilter) -> BinaryMask:
-    """Per-pixel range test over the whole image in the given space."""
+def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
+    """The image's (h, w, 3) float64 planes in ``space``: the one space -> converter map."""
     if space == ColorSpaceId.RGB:
-        planes = image.pixels.astype(np.float64)
-    elif space == ColorSpaceId.HSV:
-        planes = image_to_hsv(image)
-    else:
-        planes = image_to_ycbcr(image)
+        return image.pixels.astype(np.float64)
+    if space == ColorSpaceId.HSV:
+        return image_to_hsv(image)
+    return image_to_ycbcr(image)
+
+
+def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) -> BinaryMask:
+    """Per-pixel range test over planes already in the given space."""
     bits = np.ones(planes.shape[:2], dtype=bool)
     for i, r in _ranges_for(space, filt):
         ch = planes[..., i]

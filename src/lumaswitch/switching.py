@@ -1,13 +1,14 @@
 """The segmentation pipeline and the three color-space switching strategies.
 
 Pipeline per space: range filter -> 3x3 majority denoise -> largest
-8-connected blob.  Each strategy overlays only the mask it returns onto
+8-connected blob, on the image's ``to_space`` planes, converted once per
+image and space.  Each strategy overlays only the mask it returns onto
 the original image.
 
 Strategies:
-  * ann:          a trained network picks the space from the image's
-                  9-channel mean feature vector, then the pipeline runs
-                  in that space only.
+  * ann:          a trained network picks the space from the 9 channel
+                  means of the image's three plane sets, then the
+                  pipeline runs on the chosen space's planes only.
   * maxconnected: the pipeline runs in all three spaces and the space
                   with the biggest surviving blob wins.
   * sigmaconnect: the three per-space blobs are combined by pixel vote
@@ -27,7 +28,7 @@ from .blobs import denoise, largest_component
 from .colorspace import feature_vector
 from .imaging import BinaryMask, ImageBuffer, overlay
 from .mlp import MlpModel, Normalization, predict_space
-from .skinfilter import ColorSpaceId, SkinRangeFilter, apply_filter
+from .skinfilter import ColorSpaceId, SkinRangeFilter, apply_filter, to_space
 
 __all__ = [
     "COMBINED",
@@ -65,10 +66,10 @@ class SegmentationResult:
 
 
 def bayesian_routine(
-    image: ImageBuffer, space: ColorSpaceId, filt: SkinRangeFilter
+    planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter
 ) -> RoutineOutput:
-    """Run the full per-space pipeline; an empty blob is a valid result."""
-    raw = apply_filter(image, space, filt)
+    """Full per-space pipeline on ``to_space`` planes; an empty blob is a valid result."""
+    raw = apply_filter(planes, space, filt)
     cleaned = denoise(raw)
     blob, size = largest_component(cleaned)
     return RoutineOutput(raw_mask=raw, mask=blob, blob_size=size)
@@ -81,9 +82,9 @@ def algorithm1_ann_switch(
     filt: SkinRangeFilter,
 ) -> SegmentationResult:
     """Network-selected color space, then the pipeline in that space."""
-    features = feature_vector(image)
-    chosen = predict_space(model, features, normalization)
-    run = bayesian_routine(image, chosen, filt)
+    planes = [to_space(image, s) for s in ColorSpaceId]
+    chosen = predict_space(model, feature_vector(planes), normalization)
+    run = bayesian_routine(planes[chosen], chosen, filt)
     return SegmentationResult(
         strategy="ann",
         chosen=chosen.label,
@@ -99,7 +100,7 @@ def algorithm2_max_connected(
     image: ImageBuffer, filt: SkinRangeFilter
 ) -> SegmentationResult:
     """All three spaces; the one with the biggest blob wins."""
-    runs = {space: bayesian_routine(image, space, filt) for space in ColorSpaceId}
+    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
     chosen = max(ColorSpaceId, key=lambda s: (runs[s].blob_size, -int(s)))
     run = runs[chosen]
     return SegmentationResult(
@@ -121,7 +122,7 @@ def algorithm3_sigma_connect(
     for agreement between spaces."""
     if vote_threshold not in (1, 2, 3):
         raise ValueError(f"vote_threshold must be 1, 2 or 3, got {vote_threshold}")
-    runs = {space: bayesian_routine(image, space, filt) for space in ColorSpaceId}
+    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
     votes = sum(runs[s].mask.bits.astype(np.int8) for s in ColorSpaceId)
     combined = BinaryMask(votes >= vote_threshold)
     blob, size = largest_component(combined)

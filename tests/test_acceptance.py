@@ -20,7 +20,7 @@ from lumaswitch.mlp import (
     save_model,
     softmax,
 )
-from lumaswitch.skinfilter import ColorSpaceId, default_filter
+from lumaswitch.skinfilter import ColorSpaceId, default_filter, to_space
 from lumaswitch.switching import (
     algorithm1_ann_switch,
     algorithm2_max_connected,
@@ -207,7 +207,7 @@ def test_criterion_6_strategy_equivalences():
             b2[int(space)] = 5.0
             model = MlpModel(np.zeros((4, 9)), np.zeros(4), np.zeros((3, 4)), b2)
             result = algorithm1_ann_switch(image, model, Normalization.identity(), filt)
-            direct = bayesian_routine(image, space, filt)
+            direct = bayesian_routine(to_space(image, space), space, filt)
             assert result.chosen == space.label
             assert np.array_equal(result.mask.bits, direct.mask.bits)
             assert np.array_equal(result.raw_mask.bits, direct.raw_mask.bits)
@@ -219,7 +219,9 @@ def test_criterion_6_strategy_equivalences():
 
             # (b) maxconnected chooses the argmax of independent recomputations
             result = algorithm2_max_connected(image, filt)
-            sizes = {s: bayesian_routine(image, s, filt).blob_size for s in ColorSpaceId}
+            sizes = {
+                s: bayesian_routine(to_space(image, s), s, filt).blob_size for s in ColorSpaceId
+            }
             best = max(sizes.values())
             assert result.blob_size == best
             expected_choice = min(s for s in ColorSpaceId if sizes[s] == best)
@@ -230,7 +232,7 @@ def test_criterion_6_strategy_equivalences():
             result3 = algorithm3_sigma_connect(image, filt, vote_threshold=1)
             union = np.zeros((24, 24), dtype=bool)
             for s in ColorSpaceId:
-                union |= bayesian_routine(image, s, filt).mask.bits
+                union |= bayesian_routine(to_space(image, s), s, filt).mask.bits
             expected_mask, expected_size = largest_component(BinaryMask(union))
             assert np.array_equal(result3.mask.bits, expected_mask.bits)
             assert result3.blob_size == expected_size

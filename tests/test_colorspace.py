@@ -15,8 +15,14 @@ from lumaswitch.colorspace import (
     rgb_to_ycbcr,
 )
 from lumaswitch.imaging import ImageBuffer
+from lumaswitch.skinfilter import ColorSpaceId, to_space
 
 from conftest import make_image
+
+
+def features(image):
+    return feature_vector([to_space(image, s) for s in ColorSpaceId])
+
 
 TABLE5_ROW1 = FeatureVector(
     mean_h=0.162068,
@@ -102,7 +108,7 @@ def test_vectorized_conversions_match_scalar():
 
 
 def test_feature_vector_constant_image():
-    fv = feature_vector(make_image(6, 9, (100, 150, 200)))
+    fv = features(make_image(6, 9, (100, 150, 200)))
     h, s, v = rgb_to_hsv((100, 150, 200))
     y, cb, cr = rgb_to_ycbcr((100, 150, 200))
     assert (fv.mean_r, fv.mean_g, fv.mean_b) == (100.0, 150.0, 200.0)
@@ -116,7 +122,7 @@ def test_feature_vector_constant_image():
 
 def test_feature_vector_two_pixel_average():
     img = ImageBuffer(np.array([[[255, 0, 0], [0, 0, 0]]], dtype=np.uint8))
-    fv = feature_vector(img)
+    fv = features(img)
     assert fv.mean_r == 127.5
     assert fv.mean_g == 0.0
     assert fv.mean_b == 0.0
@@ -128,10 +134,10 @@ def test_feature_vector_two_pixel_average():
 def test_feature_vector_order_independent():
     rng = np.random.default_rng(6)
     pixels = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-    fv1 = feature_vector(ImageBuffer(pixels))
+    fv1 = features(ImageBuffer(pixels))
     flat = pixels.reshape(-1, 3)
     shuffled = flat[rng.permutation(len(flat))].reshape(8, 8, 3)
-    fv2 = feature_vector(ImageBuffer(shuffled))
+    fv2 = features(ImageBuffer(shuffled))
     assert fv1.as_array() == pytest.approx(fv2.as_array(), abs=1e-9)
 
 

@@ -14,6 +14,7 @@ from lumaswitch.skinfilter import (
     classify_pixel,
     default_filter,
     parse_filter_config,
+    to_space,
 )
 
 from conftest import SKIN, make_image
@@ -89,25 +90,27 @@ def test_widening_is_monotone():
 
 @pytest.mark.parametrize("space", list(ColorSpaceId))
 def test_apply_filter_black_image(space):
-    mask = apply_filter(make_image(4, 4), space, default_filter())
+    mask = apply_filter(to_space(make_image(4, 4), space), space, default_filter())
     assert not mask.bits.any()
 
 
 def test_apply_filter_constant_skin_image():
-    mask = apply_filter(make_image(3, 5, SKIN), ColorSpaceId.RGB, default_filter())
+    rgb = ColorSpaceId.RGB
+    mask = apply_filter(to_space(make_image(3, 5, SKIN), rgb), rgb, default_filter())
     assert mask.bits.all()
 
 
 def test_apply_filter_mixed():
     img = ImageBuffer(np.array([[[150, 80, 40], [10, 10, 10]]], dtype=np.uint8))
-    mask = apply_filter(img, ColorSpaceId.RGB, default_filter())
+    mask = apply_filter(to_space(img, ColorSpaceId.RGB), ColorSpaceId.RGB, default_filter())
     assert mask.bits.tolist() == [[True, False]]
 
 
 def test_apply_filter_is_pixelwise():
     rng = np.random.default_rng(13)
     pixels = rng.integers(0, 256, (6, 6, 3), dtype=np.uint8)
-    mask = apply_filter(ImageBuffer(pixels), ColorSpaceId.HSV, default_filter())
+    hsv = ColorSpaceId.HSV
+    mask = apply_filter(to_space(ImageBuffer(pixels), hsv), hsv, default_filter())
     f = default_filter()
     for y in range(6):
         for x in range(6):

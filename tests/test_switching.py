@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from lumaswitch import colorspace, skinfilter
 from lumaswitch.blobs import largest_component
 from lumaswitch.imaging import BinaryMask, ImageBuffer, overlay
 from lumaswitch.mlp import MlpModel, Normalization
-from lumaswitch.skinfilter import ColorSpaceId, apply_filter, default_filter
+from lumaswitch.skinfilter import ColorSpaceId, apply_filter, default_filter, to_space
 from lumaswitch.switching import (
     COMBINED,
     algorithm1_ann_switch,
@@ -40,7 +41,7 @@ def two_region_image():
 
 @pytest.mark.parametrize("space", list(ColorSpaceId))
 def test_routine_patch_fixture_all_spaces(space, patch_image):
-    run = bayesian_routine(patch_image, space, default_filter())
+    run = bayesian_routine(to_space(patch_image, space), space, default_filter())
     assert run.mask == patch_mask()
     assert run.blob_size == 256
     result = algorithm1_ann_switch(patch_image, *forcing_model(space), default_filter())
@@ -51,7 +52,7 @@ def test_routine_patch_fixture_all_spaces(space, patch_image):
 @pytest.mark.parametrize("space", list(ColorSpaceId))
 def test_routine_black_image(space):
     image = make_image(16, 16)
-    run = bayesian_routine(image, space, default_filter())
+    run = bayesian_routine(to_space(image, space), space, default_filter())
     assert run.blob_size == 0
     assert not run.mask.bits.any()
     result = algorithm1_ann_switch(image, *forcing_model(space), default_filter())
@@ -61,7 +62,7 @@ def test_routine_black_image(space):
 
 @pytest.mark.parametrize("space", list(ColorSpaceId))
 def test_routine_salt_pixels_removed(space, salted_patch_image):
-    run = bayesian_routine(salted_patch_image, space, default_filter())
+    run = bayesian_routine(to_space(salted_patch_image, space), space, default_filter())
     assert run.mask == patch_mask()
     assert run.blob_size == 256
     # pre-denoise mask still carries the salt
@@ -86,7 +87,7 @@ def test_algorithm1_equals_direct_routine():
         for space in ColorSpaceId:
             model, norm = forcing_model(space)
             result = algorithm1_ann_switch(image, model, norm, filt)
-            direct = bayesian_routine(image, space, filt)
+            direct = bayesian_routine(to_space(image, space), space, filt)
             assert result.mask == direct.mask
             assert result.blob_size == direct.blob_size
             assert result.overlay == overlay(image, direct.mask)
@@ -125,7 +126,7 @@ def test_algorithm2_matches_independent_recomputation():
     for _ in range(10):
         image = ImageBuffer(rng.integers(0, 256, (24, 24, 3), dtype=np.uint8))
         result = algorithm2_max_connected(image, filt)
-        runs = {s.label: bayesian_routine(image, s, filt) for s in ColorSpaceId}
+        runs = {s.label: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
         sizes = {label: run.blob_size for label, run in runs.items()}
         assert result.per_space_sizes == sizes
         assert result.blob_size == max(sizes.values())
@@ -156,7 +157,7 @@ def test_algorithm3_equals_or_of_blobs_plus_largest():
         result = algorithm3_sigma_connect(image, filt, vote_threshold=1)
         union = np.zeros((24, 24), dtype=bool)
         for space in ColorSpaceId:
-            union |= bayesian_routine(image, space, filt).mask.bits
+            union |= bayesian_routine(to_space(image, space), space, filt).mask.bits
         expected, size = largest_component(BinaryMask(union))
         assert result.mask == expected
         assert result.blob_size == size
@@ -180,7 +181,9 @@ def test_algorithm3_raw_mask_is_vote_over_filter_masks(threshold, salted_patch_i
     images += [ImageBuffer(rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)) for _ in range(5)]
     for image in images:
         result = algorithm3_sigma_connect(image, filt, vote_threshold=threshold)
-        votes = sum(apply_filter(image, s, filt).bits.astype(int) for s in ColorSpaceId)
+        votes = sum(
+            apply_filter(to_space(image, s), s, filt).bits.astype(int) for s in ColorSpaceId
+        )
         assert result.raw_mask == BinaryMask(votes >= threshold)
 
 
@@ -225,3 +228,30 @@ def test_strategies_deterministic(patch_image):
     a = algorithm2_max_connected(patch_image, filt)
     b = algorithm2_max_connected(patch_image, filt)
     assert a.mask == b.mask and a.per_space_sizes == b.per_space_sizes and a.chosen == b.chosen
+
+
+@pytest.mark.parametrize(
+    "strategy", ["ann-rgb", "ann-hsv", "ann-ycbcr", "maxconnected", "sigmaconnect"]
+)
+def test_one_conversion_per_image(strategy, monkeypatch, patch_image):
+    calls = {}
+    for name in ("image_to_hsv", "image_to_ycbcr"):
+        convert = getattr(colorspace, name)
+
+        def counted(image, name=name, convert=convert):
+            calls[name] += 1
+            return convert(image)
+
+        for module in (colorspace, skinfilter):
+            monkeypatch.setattr(module, name, counted)
+    filt = default_filter()
+    for image in (patch_image, two_region_image()):
+        calls.update(image_to_hsv=0, image_to_ycbcr=0)
+        if strategy == "maxconnected":
+            algorithm2_max_connected(image, filt)
+        elif strategy == "sigmaconnect":
+            algorithm3_sigma_connect(image, filt)
+        else:
+            model, norm = forcing_model(ColorSpaceId.parse(strategy[4:]))
+            assert algorithm1_ann_switch(image, model, norm, filt).chosen.lower() == strategy[4:]
+        assert calls == {"image_to_hsv": 1, "image_to_ycbcr": 1}
