@@ -8,7 +8,6 @@ from .skinfilter import (
     ColorSpaceId,
     SkinRangeFilter,
     apply_filter,
-    calibrate_ranges,
     classify_pixel,
     default_filter,
     to_space,

@@ -184,14 +184,11 @@ def _manifest_features(entries) -> list[tuple]:
 
 
 def cmd_train(args) -> int:
-    entries = _read_manifest(args.manifest)
-    rows = _manifest_features(entries)
-    cfg = mlp.TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        hidden_count=args.hidden,
-        seed=args.seed,
-    )
+    try:
+        cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    rows = _manifest_features(_read_manifest(args.manifest))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
     mlp.save_model(result.model, result.normalization, args.model)
     if args.loss_csv:
@@ -252,6 +249,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumaswitch",
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="segment a directory of frames in sorted order")
     add_strategy_flags(p)
-    p.add_argument("--delay-us", type=int, default=0, help="inter-frame delay in microseconds")
+    p.add_argument("--delay-us", type=_non_negative_int, default=0, help="inter-frame delay (us)")
     p.add_argument("frames", metavar="FRAME_DIR")
     p.set_defaults(func=cmd_stream)
 

@@ -2,8 +2,7 @@
 
 Images are 8-bit RGB rasters, masks are per-pixel booleans.  The on-disk
 interchange formats are binary PPM (P6) for color images and binary PGM
-(P5) for masks, both with maxval 255.  PNG is supported for loading when
-Pillow is installed.
+(P5) for masks, both with maxval 255; no other format is read.
 """
 
 from __future__ import annotations
@@ -119,6 +118,8 @@ def _read_pnm_header(data: bytes, path: str, magic: bytes):
             end = pos
             while end < len(data) and data[end : end + 1].isdigit():
                 end += 1
+            if end - pos > 9:
+                raise PnmError(f"{path}: header number too long")
             fields.append(int(data[pos:end]))
             pos = end
         else:
@@ -136,13 +137,11 @@ def _read_pnm_header(data: bytes, path: str, magic: bytes):
 
 
 def load_image(path: str | os.PathLike) -> ImageBuffer:
-    """Load a binary PPM (P6, maxval 255) image; PNG if Pillow is present.
+    """Load a binary PPM (P6, maxval 255) image.
 
     Pixel values are returned exactly as stored, no color management.
     """
     path = os.fspath(path)
-    if path.lower().endswith(".png"):
-        return _load_png(path)
     with open(path, "rb") as fh:
         data = fh.read()
     width, height, pos = _read_pnm_header(data, path, b"P6")
@@ -154,15 +153,6 @@ def load_image(path: str | os.PathLike) -> ImageBuffer:
         )
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
     return ImageBuffer(pixels.copy())
-
-
-def _load_png(path: str) -> ImageBuffer:
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise PnmError(f"{path}: PNG support requires Pillow") from exc
-    with Image.open(path) as im:
-        return ImageBuffer(np.asarray(im.convert("RGB"), dtype=np.uint8))
 
 
 def save_image(image: ImageBuffer, path: str | os.PathLike) -> None:

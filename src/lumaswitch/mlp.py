@@ -119,8 +119,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # also rejects nan
+            raise ValueError(f"learning_rate must be finite and positive: {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.hidden_count < 1:
@@ -147,11 +147,15 @@ def _as_feature_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _forward(model: MlpModel, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tanh hidden activations, class probabilities) of normalized inputs."""
+    hidden = np.tanh(xh @ model.w1.T + model.b1)
+    return hidden, softmax(hidden @ model.w2.T + model.b2)
+
+
 def forward(model: MlpModel, x, normalization: Normalization) -> np.ndarray:
     """Class probabilities for one feature vector (or an (n, 9) batch)."""
-    xh = normalization.apply(_as_feature_array(x))
-    hidden = np.tanh(xh @ model.w1.T + model.b1)
-    return softmax(hidden @ model.w2.T + model.b2)
+    return _forward(model, normalization.apply(_as_feature_array(x)))[1]
 
 
 def predict_space(model: MlpModel, x, normalization: Normalization) -> ColorSpaceId:
@@ -171,20 +175,15 @@ def init_model(hidden_count: int, seed: int) -> MlpModel:
     )
 
 
-def mean_cross_entropy(model: MlpModel, xh: np.ndarray, targets: np.ndarray) -> float:
-    """Mean negative log-probability of the target classes.
-
-    xh is an already-normalized (n, 9) batch.
-    """
-    hidden = np.tanh(xh @ model.w1.T + model.b1)
-    p = softmax(hidden @ model.w2.T + model.b2)
+def mean_cross_entropy(p: np.ndarray, targets: np.ndarray) -> float:
+    """Mean negative log-probability of the target classes under the
+    ``_forward`` class probabilities p."""
     return float(-np.mean(np.log(p[np.arange(len(targets)), targets])))
 
 
-def _gradients(model: MlpModel, xh: np.ndarray, targets: np.ndarray):
+def _gradients(model: MlpModel, xh: np.ndarray, targets: np.ndarray, hidden, p):
+    """Mean cross-entropy gradients from the ``_forward(model, xh)`` pass."""
     n = len(targets)
-    hidden = np.tanh(xh @ model.w1.T + model.b1)
-    p = softmax(hidden @ model.w2.T + model.b2)
     delta2 = p.copy()
     delta2[np.arange(n), targets] -= 1.0
     delta2 /= n
@@ -210,9 +209,10 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
     xh = norm.apply(x)
 
     model = init_model(cfg.hidden_count, cfg.seed)
-    losses = [mean_cross_entropy(model, xh, targets)]
+    hidden, p = _forward(model, xh)
+    losses = [mean_cross_entropy(p, targets)]
     for epoch in range(1, cfg.epochs + 1):
-        gw1, gb1, gw2, gb2 = _gradients(model, xh, targets)
+        gw1, gb1, gw2, gb2 = _gradients(model, xh, targets, hidden, p)
         lr = cfg.learning_rate
         model = MlpModel(
             model.w1 - lr * gw1,
@@ -220,7 +220,8 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
             model.w2 - lr * gw2,
             model.b2 - lr * gb2,
         )
-        loss = mean_cross_entropy(model, xh, targets)
+        hidden, p = _forward(model, xh)
+        loss = mean_cross_entropy(p, targets)
         if not np.isfinite(loss):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

@@ -7,16 +7,16 @@ Default ranges (all bounds inclusive):
     YCbCr  Cb 100-125  Cr 135-170   (Y unconstrained)
 
 The published HSV value range is internally inconsistent (lower bound
-above upper); the default reads it as [0.38, 1.0], with the literal
-[0.112, 0.38] reading available via ``default_filter(narrow_value=True)``.
+above upper); the default reads it as [0.38, 1.0].  The literal [0.112, 0.38]
+reading is the config ``hsv.v.lo = 0.112`` / ``hsv.v.hi = 0.38``.  A range
+with lo > hi is an error: a hue band cannot wrap around 0.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +31,8 @@ __all__ = [
     "classify_pixel",
     "to_space",
     "apply_filter",
-    "calibrate_ranges",
     "parse_filter_config",
 ]
-
-log = logging.getLogger(__name__)
-
 
 class ColorSpaceId(enum.IntEnum):
     RGB = 0
@@ -64,17 +60,14 @@ _SPACE_TOKENS = {
 
 @dataclass(frozen=True)
 class ChannelRange:
-    """Inclusive [lo, hi] interval; out-of-order bounds are swapped."""
+    """Inclusive [lo, hi] interval; lo > hi raises ValueError."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
         if self.lo > self.hi:
-            log.warning("ChannelRange bounds out of order (%s, %s); swapping", self.lo, self.hi)
-            lo, hi = self.hi, self.lo
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
+            raise ValueError(f"range bounds out of order: lo {self.lo} > hi {self.hi}")
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -99,16 +92,11 @@ class SkinRangeFilter:
         }
 
 
-def default_filter(narrow_value: bool = False) -> SkinRangeFilter:
-    """The published default ranges.
-
-    narrow_value selects the literal [0.112, 0.38] reading of the HSV
-    value range instead of the default [0.38, 1.0].
-    """
-    v = ChannelRange(0.112, 0.38) if narrow_value else ChannelRange(0.38, 1.0)
+def default_filter() -> SkinRangeFilter:
+    """The published default ranges."""
     return SkinRangeFilter(
         rgb=(ChannelRange(95, 255), ChannelRange(40, 255), ChannelRange(20, 255)),
-        hsv=(ChannelRange(0.04, 0.0882), ChannelRange(0.11, 0.68), v),
+        hsv=(ChannelRange(0.04, 0.0882), ChannelRange(0.11, 0.68), ChannelRange(0.38, 1.0)),
         ycbcr=(ChannelRange(100, 125), ChannelRange(135, 170)),
     )
 
@@ -129,9 +117,10 @@ def classify_pixel(space: ColorSpaceId, pixel: Sequence[float], filt: SkinRangeF
 
 
 def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
-    """The image's (h, w, 3) float64 planes in ``space``: the one space -> converter map."""
+    """The image's (h, w, 3) planes in ``space`` (RGB: its uint8 pixels, not a
+    copy; HSV, YCbCr: float64): the one space -> converter map."""
     if space == ColorSpaceId.RGB:
-        return image.pixels.astype(np.float64)
+        return image.pixels
     if space == ColorSpaceId.HSV:
         return image_to_hsv(image)
     return image_to_ycbcr(image)
@@ -146,80 +135,6 @@ def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter)
     return BinaryMask(bits)
 
 
-# calibration -----------------------------------------------------------------
-
-_UNIT_SPACES = {ColorSpaceId.HSV}
-
-
-def _f1(values: np.ndarray, labels: np.ndarray, bounds: np.ndarray) -> float:
-    """F1 of the range test given per-channel (lo, hi) rows."""
-    pred = np.ones(len(labels), dtype=bool)
-    for c in range(values.shape[1]):
-        pred &= (values[:, c] >= bounds[c, 0]) & (values[:, c] <= bounds[c, 1])
-    tp = int(np.sum(pred & labels))
-    fp = int(np.sum(pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    if tp == 0:
-        return 0.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
-
-
-def calibrate_ranges(
-    samples: Iterable[tuple[Sequence[float], bool]],
-    space: ColorSpaceId,
-    initial: SkinRangeFilter,
-) -> SkinRangeFilter:
-    """Coordinate search over each range bound maximizing sample F1.
-
-    Bounds move on a fixed grid (step 1 for [0,255] channels, 0.005 for
-    [0,1] channels); each bound in turn is scanned over its full grid
-    with the others held fixed, and a move is taken only on a strict F1
-    improvement.  Passes repeat until a full sweep leaves every bound in
-    place, so the result never scores below the initial filter.
-    """
-    samples = list(samples)
-    labels = np.array([bool(lab) for _, lab in samples])
-    if not labels.any() or labels.all():
-        raise ValueError("calibration needs both skin and non-skin samples")
-
-    constrained = _ranges_for(space, initial)
-    values = np.array(
-        [[float(px[i]) for i, _ in constrained] for px, _ in samples], dtype=np.float64
-    )
-    if space in _UNIT_SPACES:
-        grid = np.round(np.arange(0.0, 1.0 + 1e-9, 0.005), 3)
-    else:
-        grid = np.arange(0.0, 256.0, 1.0)
-
-    bounds = np.array([[r.lo, r.hi] for _, r in constrained], dtype=np.float64)
-    best = _f1(values, labels, bounds)
-    improved = True
-    while improved:
-        improved = False
-        for c in range(bounds.shape[0]):
-            for side in (0, 1):
-                incumbent = bounds[c, side]
-                for cand in grid:
-                    if cand == incumbent:
-                        continue
-                    trial = bounds.copy()
-                    trial[c, side] = cand
-                    if trial[c, 0] > trial[c, 1]:
-                        continue
-                    score = _f1(values, labels, trial)
-                    if score > best:
-                        best = score
-                        bounds = trial
-                        improved = True
-
-    new_ranges = tuple(ChannelRange(lo, hi) for lo, hi in bounds)
-    if space == ColorSpaceId.RGB:
-        return SkinRangeFilter(rgb=new_ranges, hsv=initial.hsv, ycbcr=initial.ycbcr)
-    if space == ColorSpaceId.HSV:
-        return SkinRangeFilter(rgb=initial.rgb, hsv=new_ranges, ycbcr=initial.ycbcr)
-    return SkinRangeFilter(rgb=initial.rgb, hsv=initial.hsv, ycbcr=new_ranges)
-
-
 # configuration ---------------------------------------------------------------
 
 _CONFIG_SLOTS = {
@@ -229,14 +144,14 @@ _CONFIG_SLOTS = {
 }
 
 
-def parse_filter_config(text: str, base: SkinRangeFilter | None = None) -> SkinRangeFilter:
+def parse_filter_config(text: str) -> SkinRangeFilter:
     """Apply "space.channel.lo/hi = value" lines on top of the defaults.
 
     Blank lines and '#' comments are ignored; unknown keys are errors, and
     so are values outside the channel's domain: [0, 255] for RGB and
-    YCbCr, [0, 1] for HSV.
+    YCbCr, [0, 1] for HSV.  So is a channel left with lo > hi by the last line.
     """
-    base = base or default_filter()
+    base = default_filter()
     table = {
         "rgb": [[r.lo, r.hi] for r in base.rgb],
         "hsv": [[r.lo, r.hi] for r in base.hsv],
@@ -266,6 +181,10 @@ def parse_filter_config(text: str, base: SkinRangeFilter | None = None) -> SkinR
                 f" (not in [0, {top:g}])"
             )
         table[space][_CONFIG_SLOTS[(space, channel)]][side == "hi"] = num
+    for (space, channel), slot in _CONFIG_SLOTS.items():
+        lo, hi = table[space][slot]
+        if lo > hi:
+            raise ValueError(f"filter config: {space}.{channel} has lo {lo:g} > hi {hi:g}")
     return SkinRangeFilter(
         rgb=tuple(ChannelRange(lo, hi) for lo, hi in table["rgb"]),
         hsv=tuple(ChannelRange(lo, hi) for lo, hi in table["hsv"]),

@@ -7,6 +7,8 @@ SKIN = (180, 120, 100)  # passes all three default filters
 PATCH_ROWS = slice(24, 40)
 PATCH_COLS = slice(20, 36)
 SALT_POSITIONS = [(2, 2), (2, 60), (60, 2), (60, 60), (45, 50)]
+# the literal [0.112, 0.38] reading of the published HSV value range
+NARROW_V = "hsv.v.lo = 0.112\nhsv.v.hi = 0.38\n"
 
 
 def make_image(h, w, color=(0, 0, 0)):

@@ -13,6 +13,7 @@ from lumaswitch.imaging import BinaryMask, ImageBuffer, load_image, load_mask, o
 from lumaswitch.mlp import (
     MlpModel,
     Normalization,
+    _forward,
     _gradients,
     init_model,
     load_model,
@@ -20,7 +21,7 @@ from lumaswitch.mlp import (
     save_model,
     softmax,
 )
-from lumaswitch.skinfilter import ColorSpaceId, default_filter, to_space
+from lumaswitch.skinfilter import ColorSpaceId, default_filter, parse_filter_config, to_space
 from lumaswitch.switching import (
     algorithm1_ann_switch,
     algorithm2_max_connected,
@@ -28,7 +29,7 @@ from lumaswitch.switching import (
     bayesian_routine,
 )
 
-from conftest import flood_fill_components, make_patch_image, patch_mask, random_mask
+from conftest import NARROW_V, flood_fill_components, make_patch_image, patch_mask, random_mask
 
 
 class criterion:
@@ -64,7 +65,7 @@ def test_criterion_1_default_range_fidelity():
         assert (f.ycbcr[0].lo, f.ycbcr[0].hi) == (100, 125)
         assert (f.ycbcr[1].lo, f.ycbcr[1].hi) == (135, 170)
         # the alternative reading of the inconsistent published V range
-        alt = default_filter(narrow_value=True)
+        alt = parse_filter_config(NARROW_V)
         assert (alt.hsv[2].lo, alt.hsv[2].hi) == (0.112, 0.38)
 
 
@@ -131,7 +132,7 @@ def test_criterion_4_mlp_numerics():
         model = init_model(15, seed=4)
         xh = rng.normal(0, 1, (10, 9))
         targets = rng.integers(0, 3, 10)
-        grads = _gradients(model, xh, targets)
+        grads = _gradients(model, xh, targets, *_forward(model, xh))
         eps = 1e-5
         arrays = ("w1", "b1", "w2", "b2")
         for name, grad in zip(arrays, grads):
@@ -143,7 +144,7 @@ def test_criterion_4_mlp_numerics():
                 for sign in (1, -1):
                     p = {a: getattr(model, a).copy() for a in arrays}
                     p[name][idx] += sign * eps
-                    vals.append(mean_cross_entropy(MlpModel(**p), xh, targets))
+                    vals.append(mean_cross_entropy(_forward(MlpModel(**p), xh)[1], targets))
                 numeric = (vals[0] - vals[1]) / (2 * eps)
                 denom = max(abs(numeric), abs(grad[idx]), 1e-10)
                 assert abs(numeric - grad[idx]) / denom < 1e-4

@@ -283,6 +283,60 @@ def test_out_of_domain_filter_bound_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, channel",
+    [("rgb.r.lo = 200\nrgb.r.hi = 100\n", "rgb.r"), ("hsv.h.lo = 0.95\nhsv.h.hi = 0.05\n", "hsv.h")],
+)
+def test_filter_bounds_out_of_order_exit_2(tmp_path, capsys, text, channel):
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_text(text)
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
+    out = tmp_path / "out"
+    assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 2
+    assert f"{channel} has lo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_filter_bound_lowered_after_raised_is_accepted(tmp_path):
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_text("rgb.r.hi = 50\nrgb.r.lo = 10\n")
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
+    out = tmp_path / "out"
+    assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 0
+    rec = json.loads((out / "report.jsonl").read_text())
+    assert rec["filter"]["rgb"]["r"] == [10, 50]
+
+
+def test_stream_rejects_negative_delay_before_first_frame(tmp_path):
+    frames, _ = stream_frames(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["stream", "--delay-us", "-5", "--out-dir", str(out), str(frames)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--epochs", "0", "epochs"),
+        ("--hidden", "0", "hidden_count"),
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--learning-rate", "inf", "learning_rate"),
+    ],
+)
+def test_train_bad_hyperparameter_exits_2_before_decoding(
+    tmp_path, monkeypatch, capsys, flag, value, field
+):
+    manifest = write_manifest(tmp_path)
+    decoded = []
+    monkeypatch.setattr("lumaswitch.cli.load_image", lambda path: decoded.append(path))
+    assert main(["train", str(manifest), "--model", str(tmp_path / "m.json"), flag, value]) == 2
+    assert decoded == []
+    assert not (tmp_path / "m.json").exists()
+    assert field in capsys.readouterr().err
+
+
 def test_rerun_into_same_out_dir_leaves_one_report_line(tmp_path):
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"

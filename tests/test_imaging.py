@@ -60,6 +60,34 @@ def test_load_bad_magic(tmp_path):
         load_image(path)
 
 
+def test_load_png_path_is_not_a_p6_file(tmp_path):
+    path = tmp_path / "photo.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(16))
+    with pytest.raises(PnmError, match="not a P6 file"):
+        load_image(path)
+
+
+def test_pnm_loaders_raise_only_pnm_error(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    path = tmp_path / "fuzz.pnm"
+    headers = st.sampled_from([b"", b"P6", b"P5", b"P6\n2 1\n255\n", b"P5\n2 1\n255\n"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(headers, st.binary(max_size=64))
+    @example(b"P6 ", b"9" * 5000 + b" 1 255 ")  # past int()'s digit limit
+    def check(header, body):
+        path.write_bytes(header + body)
+        for load in (load_image, load_mask):
+            try:
+                load(path)
+            except PnmError:
+                pass
+
+    check()
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_image(tmp_path / "nope.ppm")

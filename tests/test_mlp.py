@@ -161,19 +161,81 @@ def test_train_loss_decreases():
     assert len(result.losses) == 201
 
 
+def _reference_train(examples, cfg):
+    """The training loop written out with one forward pass per loss and per
+    gradient, as two independent evaluations of the same weights."""
+    x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])
+    targets = np.array([int(t) for _, t in examples])
+    xh = Normalization.fit(x).apply(x)
+    n = len(targets)
+
+    def probabilities(m):
+        hidden = np.tanh(xh @ m.w1.T + m.b1)
+        return hidden, softmax(hidden @ m.w2.T + m.b2)
+
+    def loss(m):
+        p = probabilities(m)[1]
+        return float(-np.mean(np.log(p[np.arange(n), targets])))
+
+    model = init_model(cfg.hidden_count, cfg.seed)
+    losses = [loss(model)]
+    for epoch in range(1, cfg.epochs + 1):
+        hidden, p = probabilities(model)
+        delta2 = p.copy()
+        delta2[np.arange(n), targets] -= 1.0
+        delta2 /= n
+        delta1 = (delta2 @ model.w2) * (1.0 - hidden**2)
+        lr = cfg.learning_rate
+        model = MlpModel(
+            model.w1 - lr * (delta1.T @ xh),
+            model.b1 - lr * delta1.sum(axis=0),
+            model.w2 - lr * (delta2.T @ hidden),
+            model.b2 - lr * delta2.sum(axis=0),
+        )
+        losses.append(loss(model))
+        if not np.isfinite(losses[-1]):
+            raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
+    return model, tuple(losses)
+
+
+def test_train_equals_two_pass_reference_bitwise():
+    rng = np.random.default_rng(54)
+    examples = [(x, ColorSpaceId(int(i % 3))) for i, x in enumerate(random_features(rng, 20))]
+    cfg = TrainConfig(epochs=150, learning_rate=0.05, hidden_count=7, seed=3)
+    model, losses = _reference_train(examples, cfg)
+    result = train(examples, cfg)
+    assert len(result.losses) == cfg.epochs + 1
+    assert result.losses == losses
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(result.model, name), getattr(model, name))
+
+
+def test_train_non_finite_loss_names_the_reference_epoch():
+    rng = np.random.default_rng(0)
+    x, t = rng.normal(0, 1, (20, 9)), rng.integers(0, 3, 20)
+    examples = [(x[i], ColorSpaceId(int(t[i]))) for i in range(20)]
+    cfg = TrainConfig(learning_rate=300.0, epochs=50)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ArithmeticError) as expected:
+            _reference_train(examples, cfg)
+        assert "epoch 2" in str(expected.value)
+        with pytest.raises(ArithmeticError, match=f"^{expected.value}$"):
+            train(examples, cfg)
+
+
 def test_train_rejects_empty_set():
     with pytest.raises(ValueError, match="empty"):
         train([], TrainConfig())
 
 
 def test_gradients_match_finite_differences():
-    from lumaswitch.mlp import _gradients
+    from lumaswitch.mlp import _forward, _gradients
 
     rng = np.random.default_rng(53)
     model = init_model(15, seed=9)
     xh = rng.normal(0, 1, (8, 9))
     targets = rng.integers(0, 3, 8)
-    grads = _gradients(model, xh, targets)
+    grads = _gradients(model, xh, targets, *_forward(model, xh))
     arrays = ("w1", "b1", "w2", "b2")
     eps = 1e-5
     for name, grad in zip(arrays, grads):
@@ -185,15 +247,16 @@ def test_gradients_match_finite_differences():
             for sign in (1, -1):
                 p = {a: getattr(model, a).copy() for a in arrays}
                 p[name][idx] += sign * eps
-                lo_hi.append(mean_cross_entropy(MlpModel(**p), xh, targets))
+                lo_hi.append(mean_cross_entropy(_forward(MlpModel(**p), xh)[1], targets))
             numeric = (lo_hi[0] - lo_hi[1]) / (2 * eps)
             denom = max(abs(numeric), abs(grad[idx]), 1e-8)
             assert abs(numeric - grad[idx]) / denom < 1e-4
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0)
+    for rate in (0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):

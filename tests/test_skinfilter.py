@@ -1,23 +1,22 @@
-import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lumaswitch.colorspace import rgb_to_hsv, rgb_to_ycbcr
+from lumaswitch.colorspace import feature_vector, rgb_to_hsv, rgb_to_ycbcr
 from lumaswitch.imaging import ImageBuffer
 from lumaswitch.skinfilter import (
     ChannelRange,
     ColorSpaceId,
     SkinRangeFilter,
     apply_filter,
-    calibrate_ranges,
     classify_pixel,
     default_filter,
     parse_filter_config,
     to_space,
 )
 
-from conftest import SKIN, make_image
+from conftest import NARROW_V, SKIN, make_image
 
 
 def test_default_ranges():
@@ -30,13 +29,14 @@ def test_default_ranges():
 
 
 def test_alternative_value_range():
-    f = default_filter(narrow_value=True)
+    f = parse_filter_config(NARROW_V)
     assert (f.hsv[2].lo, f.hsv[2].hi) == (0.112, 0.38)
 
 
 def test_channel_range_swaps_out_of_order_bounds():
-    r = ChannelRange(200, 100)
-    assert (r.lo, r.hi) == (100, 200)
+    # out-of-order bounds raise: a reversed hue pair may be a band meant to wrap around 0
+    with pytest.raises(ValueError, match="out of order"):
+        ChannelRange(200, 100)
 
 
 def test_classify_rgb_examples():
@@ -63,7 +63,7 @@ def test_classify_ycbcr_ignores_luma():
 def test_classify_hsv_worked_pixel():
     f = default_filter()
     assert classify_pixel(ColorSpaceId.HSV, (0.0417, 0.444, 0.706), f)
-    assert not classify_pixel(ColorSpaceId.HSV, (0.0417, 0.444, 0.706), default_filter(narrow_value=True))
+    assert not classify_pixel(ColorSpaceId.HSV, (0.0417, 0.444, 0.706), parse_filter_config(NARROW_V))
 
 
 def test_skin_pixel_passes_all_three_spaces():
@@ -118,79 +118,25 @@ def test_apply_filter_is_pixelwise():
             assert mask.bits[y, x] == classify_pixel(ColorSpaceId.HSV, px, f)
 
 
-# calibration ----------------------------------------------------------------
+@pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640), (1080, 1920)])
+def test_uint8_rgb_planes_equal_float64_copy(shape):
+    rng = np.random.default_rng(shape[1])
+    pixels = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    if shape == (1, 256):  # every value in every channel
+        pixels[0] = np.stack([rng.permutation(256) for _ in range(3)], axis=-1)
+    image = ImageBuffer(pixels)
+    planes = [to_space(image, s) for s in ColorSpaceId]
+    assert planes[0].dtype == np.uint8
+    copies = [pixels.astype(np.float64), *planes[1:]]
+    assert feature_vector(planes) == feature_vector(copies)
 
-
-def _rgb_samples_one_channel(values, labels):
-    return [((v, 128, 128), lab) for v, lab in zip(values, labels)]
-
-
-def _sample_f1(samples, space, filt):
-    tp = fp = fn = 0
-    for px, lab in samples:
-        pred = classify_pixel(space, px, filt)
-        tp += pred and lab
-        fp += pred and not lab
-        fn += (not pred) and lab
-    return 0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn)
-
-
-def test_calibrate_separable_one_channel():
-    samples = _rgb_samples_one_channel([100] * 10 + [200] * 10, [True] * 10 + [False] * 10)
-    out = calibrate_ranges(samples, ColorSpaceId.RGB, default_filter())
-    r = out.rgb[0]
-    assert r.lo <= 100 <= r.hi
-    assert not (r.lo <= 200 <= r.hi)
-    assert _sample_f1(samples, ColorSpaceId.RGB, out) == 1.0
-
-
-def test_calibrate_fixed_point():
-    # already perfectly separated by the initial filter: nothing to improve
-    samples = _rgb_samples_one_channel([120, 130, 50, 60], [True, True, False, False])
-    out = calibrate_ranges(samples, ColorSpaceId.RGB, default_filter())
-    assert _sample_f1(samples, ColorSpaceId.RGB, out) == 1.0
-
-
-def test_calibrate_never_worse_and_beats_coarse_oracle():
-    rng = np.random.default_rng(21)
-    values = rng.integers(0, 256, 200)
-    labels = [bool(80 <= v <= 160) != (rng.random() < 0.1) for v in values]
-    samples = _rgb_samples_one_channel([int(v) for v in values], labels)
-    initial = default_filter()
-    out = calibrate_ranges(samples, ColorSpaceId.RGB, initial)
-    f1_out = _sample_f1(samples, ColorSpaceId.RGB, out)
-    assert f1_out >= _sample_f1(samples, ColorSpaceId.RGB, initial)
-
-    # exhaustive search over (lo, hi) pairs for the red channel, step 8
-    best = 0.0
-    grid = list(range(0, 256, 8))
-    for lo, hi in itertools.product(grid, grid):
-        if lo > hi:
-            continue
-        trial = SkinRangeFilter(
-            rgb=(ChannelRange(lo, hi), initial.rgb[1], initial.rgb[2]),
-            hsv=initial.hsv,
-            ycbcr=initial.ycbcr,
-        )
-        best = max(best, _sample_f1(samples, ColorSpaceId.RGB, trial))
-    assert f1_out >= best - 1e-12
-
-
-def test_calibrate_rejects_single_class():
-    samples = _rgb_samples_one_channel([10, 20, 30], [True, True, True])
-    with pytest.raises(ValueError, match="both skin and non-skin"):
-        calibrate_ranges(samples, ColorSpaceId.RGB, default_filter())
-
-
-def test_calibrate_is_deterministic():
-    rng = np.random.default_rng(22)
-    samples = _rgb_samples_one_channel(
-        [int(v) for v in rng.integers(0, 256, 60)],
-        [bool(b) for b in rng.random(60) < 0.5],
-    )
-    a = calibrate_ranges(samples, ColorSpaceId.RGB, default_filter())
-    b = calibrate_ranges(samples, ColorSpaceId.RGB, default_filter())
-    assert a.to_dict() == b.to_dict()
+    bounds = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
+    bounds += [sorted(rng.uniform(0, 255, 2)) for _ in range(4)]
+    filters = [default_filter()]
+    filters += [replace(default_filter(), rgb=(ChannelRange(lo, hi),) * 3) for lo, hi in bounds]
+    rgb = ColorSpaceId.RGB
+    for f in filters:
+        assert apply_filter(planes[0], rgb, f) == apply_filter(copies[0], rgb, f)
 
 
 # configuration --------------------------------------------------------------
@@ -235,6 +181,47 @@ def test_parse_filter_config_rejects_out_of_domain_bound(line):
 def test_parse_filter_config_accepts_domain_edges():
     f = parse_filter_config("rgb.r.lo = 0\nycbcr.cr.hi = 255\nhsv.h.lo = 0\nhsv.v.hi = 1\n")
     assert (f.rgb[0].lo, f.ycbcr[1].hi, f.hsv[0].lo, f.hsv[2].hi) == (0, 255, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "text, channel",
+    [
+        ("rgb.r.lo = 200\nrgb.r.hi = 100\n", "rgb.r"),
+        ("hsv.h.lo = 0.95\nhsv.h.hi = 0.05\n", "hsv.h"),
+        ("ycbcr.cr.lo = 171\n", "ycbcr.cr"),
+    ],
+)
+def test_parse_filter_config_rejects_lo_above_hi(text, channel):
+    with pytest.raises(ValueError, match=rf"filter config: {channel} has lo .* > hi "):
+        parse_filter_config(text)
+
+
+def test_parse_filter_config_checks_order_after_the_last_line():
+    f = parse_filter_config("rgb.r.hi = 50\nrgb.r.lo = 10\n")
+    assert (f.rgb[0].lo, f.rgb[0].hi) == (10, 50)
+
+
+def test_parse_filter_config_raises_only_value_error():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    keys = st.sampled_from("rgb.r rgb.g rgb.b hsv.h hsv.s hsv.v ycbcr.cb ycbcr.cr".split())
+    bound_lines = st.builds(
+        "{}.{} = {}".format, keys, st.sampled_from(["lo", "hi"]), st.floats(-1, 300)
+    )
+    lines = st.one_of(bound_lines, st.text(max_size=30))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(lines, max_size=8))
+    def check(lines):
+        try:
+            f = parse_filter_config("\n".join(lines))
+        except ValueError:
+            return
+        for r in (*f.rgb, *f.hsv, *f.ycbcr):
+            assert r.lo <= r.hi
+
+    check()
 
 
 def test_color_space_parse():
