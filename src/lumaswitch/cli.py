@@ -105,8 +105,8 @@ def _drive(args, entries) -> int:
     """The segment/stream loop over (file, artifact stem, extra report
     fields) entries: load, segment, write artifacts and one report line.
     The report is truncated, once the configuration has loaded, so it
-    holds this run's lines only.  An unreadable input is skipped and makes
-    the exit code 1."""
+    holds this run's lines only.  An input that fails to load, segment or
+    write is skipped with no report line, and makes the exit code 1."""
     filt = _load_filter(args)
     model_pair = _require_model(args)
     out_dir = Path(args.out_dir)
@@ -117,13 +117,12 @@ def _drive(args, entries) -> int:
     with open(report_path, "w") as report:
         for file, stem, extra in entries:
             try:
-                image = load_image(file)
+                result = _segment_one(load_image(file), args, filt, model_pair)
+                _write_artifacts(result, stem, out_dir)
             except (OSError, ValueError) as exc:
                 print(f"skipping {file}: {exc}", file=sys.stderr)
                 status = EXIT_RUNTIME
                 continue
-            result = _segment_one(image, args, filt, model_pair)
-            _write_artifacts(result, stem, out_dir)
             line = _report_line(result, filt, file=file, **extra)
             report.write(line + "\n")
             print(line)

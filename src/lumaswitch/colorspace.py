@@ -10,7 +10,7 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -27,19 +27,6 @@ __all__ = [
     "image_to_ycbcr",
     "feature_vector",
 ]
-
-FEATURE_KEYS = (
-    "mean_h",
-    "mean_s",
-    "mean_v",
-    "mean_y",
-    "mean_cb",
-    "mean_cr",
-    "mean_r",
-    "mean_g",
-    "mean_b",
-)
-
 
 class HsvPixel(NamedTuple):
     h: float
@@ -131,6 +118,10 @@ class FeatureVector:
     def from_json(cls, text: str) -> "FeatureVector":
         obj = json.loads(text)
         return cls(**{k: float(obj[k]) for k in FEATURE_KEYS})
+
+
+# the nine feature names, in field order: array, JSON and model input order
+FEATURE_KEYS = tuple(f.name for f in fields(FeatureVector))
 
 
 def feature_vector(planes) -> FeatureVector:

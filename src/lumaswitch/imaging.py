@@ -2,7 +2,9 @@
 
 Images are 8-bit RGB rasters, masks are per-pixel booleans.  The on-disk
 interchange formats are binary PPM (P6) for color images and binary PGM
-(P5) for masks, both with maxval 255; no other format is read.
+(P5) for masks, both with maxval 255; no other format is read.  One codec
+frames both: ``_read_pnm`` and ``_write_pnm`` take the magic number and
+the raster, and the four public load/save functions only choose those.
 """
 
 from __future__ import annotations
@@ -32,13 +34,21 @@ class PnmError(ValueError):
 class ImageBuffer:
     """A width x height 8-bit RGB raster.
 
-    ``pixels`` has shape (height, width, 3), dtype uint8, row-major.
+    ``pixels`` has shape (height, width, 3), dtype uint8, row-major.  A
+    uint8 array is kept as given, not copied; any other array must hold
+    integers in [0, 255], which are cast, never wrapped.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.uint8)
+        p = np.asarray(self.pixels)
+        if p.dtype != np.uint8:
+            with np.errstate(invalid="ignore"):  # nan and inf fail the check below
+                q = p.astype(np.uint8)
+            if not np.array_equal(q, p):
+                raise ValueError("pixel values must be integers in [0, 255]")
+            p = q
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError(f"expected (h, w, 3) pixel array, got shape {p.shape}")
         object.__setattr__(self, "pixels", p)
@@ -136,55 +146,45 @@ def _read_pnm_header(data: bytes, path: str, magic: bytes):
     return width, height, pos
 
 
-def load_image(path: str | os.PathLike) -> ImageBuffer:
-    """Load a binary PPM (P6, maxval 255) image.
-
-    Pixel values are returned exactly as stored, no color management.
-    """
+def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
+    """The (height, width, depth) uint8 raster of a binary PNM file."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, pos = _read_pnm_header(data, path, b"P6")
-    need = width * height * 3
+    width, height, pos = _read_pnm_header(data, path, magic)
+    need = width * height * depth
     body = data[pos : pos + need]
     if len(body) < need:
-        raise PnmError(
-            f"{path}: truncated pixel data ({len(body)} of {need} bytes)"
-        )
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
-    return ImageBuffer(pixels.copy())
+        raise PnmError(f"{path}: truncated pixel data ({len(body)} of {need} bytes)")
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, depth)
+
+
+def _write_pnm(path: str | os.PathLike, magic: bytes, raster: np.ndarray) -> None:
+    """Write an (height, width[, 3]) uint8 raster as binary PNM, maxval 255."""
+    height, width = raster.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(raster.tobytes())
+
+
+def load_image(path: str | os.PathLike) -> ImageBuffer:
+    """Load a binary PPM (P6, maxval 255) image, pixel values as stored."""
+    return ImageBuffer(_read_pnm(path, b"P6", 3).copy())
 
 
 def save_image(image: ImageBuffer, path: str | os.PathLike) -> None:
     """Write a binary PPM (P6, maxval 255)."""
-    path = os.fspath(path)
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(image.pixels.tobytes())
+    _write_pnm(path, b"P6", image.pixels)
 
 
 def save_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
     """Write a binary PGM (P5, maxval 255); true -> 255, false -> 0."""
-    path = os.fspath(path)
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write((mask.bits.astype(np.uint8) * 255).tobytes())
+    _write_pnm(path, b"P5", mask.bits.astype(np.uint8) * 255)
 
 
 def load_mask(path: str | os.PathLike) -> BinaryMask:
     """Load a binary PGM (P5, maxval 255); nonzero bytes read as true."""
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, pos = _read_pnm_header(data, path, b"P5")
-    need = width * height
-    body = data[pos : pos + need]
-    if len(body) < need:
-        raise PnmError(f"{path}: truncated pixel data ({len(body)} of {need} bytes)")
-    bits = np.frombuffer(body, dtype=np.uint8).reshape(height, width) != 0
-    return BinaryMask(bits)
+    return BinaryMask(_read_pnm(path, b"P5", 1)[..., 0] != 0)
 
 
 def overlay(image: ImageBuffer, mask: BinaryMask) -> ImageBuffer:

@@ -10,6 +10,10 @@ The published HSV value range is internally inconsistent (lower bound
 above upper); the default reads it as [0.38, 1.0].  The literal [0.112, 0.38]
 reading is the config ``hsv.v.lo = 0.112`` / ``hsv.v.hi = 0.38``.  A range
 with lo > hi is an error: a hue band cannot wrap around 0.
+
+``_CHANNELS`` is the one table of which planes each space tests and what
+they are called; the range test, the report's ``filter`` object and the
+``space.channel.lo/hi`` config keys are all read from it.
 """
 
 from __future__ import annotations
@@ -41,20 +45,22 @@ class ColorSpaceId(enum.IntEnum):
 
     @classmethod
     def parse(cls, token: str) -> "ColorSpaceId":
-        try:
-            return _SPACE_TOKENS[token.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown color space {token!r}") from None
+        for space in cls:
+            if space.name.lower() == token.strip().lower():
+                return space
+        raise ValueError(f"unknown color space {token!r}")
 
     @property
     def label(self) -> str:
         return {0: "RGB", 1: "HSV", 2: "YCbCr"}[int(self)]
 
 
-_SPACE_TOKENS = {
-    "rgb": ColorSpaceId.RGB,
-    "hsv": ColorSpaceId.HSV,
-    "ycbcr": ColorSpaceId.YCBCR,
+# (channel name, plane index) of each channel a space's range test constrains;
+# a SkinRangeFilter holds one range per entry, in this order
+_CHANNELS = {
+    ColorSpaceId.RGB: (("r", 0), ("g", 1), ("b", 2)),
+    ColorSpaceId.HSV: (("h", 0), ("s", 1), ("v", 2)),
+    ColorSpaceId.YCBCR: (("cb", 1), ("cr", 2)),  # luma is unconstrained
 }
 
 
@@ -86,9 +92,8 @@ class SkinRangeFilter:
 
     def to_dict(self) -> dict:
         return {
-            "rgb": {c: [r.lo, r.hi] for c, r in zip("rgb", self.rgb)},
-            "hsv": {c: [r.lo, r.hi] for c, r in zip("hsv", self.hsv)},
-            "ycbcr": {c: [r.lo, r.hi] for c, r in zip(("cb", "cr"), self.ycbcr)},
+            space.name.lower(): {c: [r.lo, r.hi] for (c, _), r in _ranges_for(space, self)}
+            for space in ColorSpaceId
         }
 
 
@@ -102,18 +107,13 @@ def default_filter() -> SkinRangeFilter:
 
 
 def _ranges_for(space: ColorSpaceId, filt: SkinRangeFilter):
-    """(channel index in the space's pixel tuple, range) pairs."""
-    if space == ColorSpaceId.RGB:
-        return list(enumerate(filt.rgb))
-    if space == ColorSpaceId.HSV:
-        return list(enumerate(filt.hsv))
-    # YCbCr pixel is (y, cb, cr); y is unconstrained
-    return [(1, filt.ycbcr[0]), (2, filt.ycbcr[1])]
+    """((channel name, plane index), range) for each channel ``space`` constrains."""
+    return zip(_CHANNELS[space], getattr(filt, space.name.lower()))
 
 
 def classify_pixel(space: ColorSpaceId, pixel: Sequence[float], filt: SkinRangeFilter) -> bool:
     """True iff every constrained channel lies inside its range."""
-    return all(r.contains(float(pixel[i])) for i, r in _ranges_for(space, filt))
+    return all(r.contains(float(pixel[i])) for (_, i), r in _ranges_for(space, filt))
 
 
 def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
@@ -129,20 +129,13 @@ def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
 def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) -> BinaryMask:
     """Per-pixel range test over planes already in the given space."""
     bits = np.ones(planes.shape[:2], dtype=bool)
-    for i, r in _ranges_for(space, filt):
+    for (_, i), r in _ranges_for(space, filt):
         ch = planes[..., i]
         bits &= (ch >= r.lo) & (ch <= r.hi)
     return BinaryMask(bits)
 
 
 # configuration ---------------------------------------------------------------
-
-_CONFIG_SLOTS = {
-    ("rgb", "r"): 0, ("rgb", "g"): 1, ("rgb", "b"): 2,
-    ("hsv", "h"): 0, ("hsv", "s"): 1, ("hsv", "v"): 2,
-    ("ycbcr", "cb"): 0, ("ycbcr", "cr"): 1,
-}
-
 
 def parse_filter_config(text: str) -> SkinRangeFilter:
     """Apply "space.channel.lo/hi = value" lines on top of the defaults.
@@ -151,12 +144,9 @@ def parse_filter_config(text: str) -> SkinRangeFilter:
     so are values outside the channel's domain: [0, 255] for RGB and
     YCbCr, [0, 1] for HSV.  So is a channel left with lo > hi by the last line.
     """
-    base = default_filter()
-    table = {
-        "rgb": [[r.lo, r.hi] for r in base.rgb],
-        "hsv": [[r.lo, r.hi] for r in base.hsv],
-        "ycbcr": [[r.lo, r.hi] for r in base.ycbcr],
-    }
+    layout = default_filter().to_dict()
+    # "space.channel" -> the [lo, hi] list inside layout, updated in place
+    bounds = {f"{s}.{c}": lo_hi for s, chans in layout.items() for c, lo_hi in chans.items()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,13 +154,10 @@ def parse_filter_config(text: str) -> SkinRangeFilter:
         if "=" not in line:
             raise ValueError(f"filter config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        parts = key.strip().lower().split(".")
-        if len(parts) != 3 or parts[2] not in ("lo", "hi"):
+        name, _, side = key.strip().lower().rpartition(".")
+        if name not in bounds or side not in ("lo", "hi"):
             raise ValueError(f"filter config line {lineno}: bad key {key.strip()!r}")
-        space, channel, side = parts
-        if (space, channel) not in _CONFIG_SLOTS:
-            raise ValueError(f"filter config line {lineno}: bad key {key.strip()!r}")
-        top = 1.0 if space == "hsv" else 255.0
+        top = 1.0 if name.startswith("hsv.") else 255.0
         try:
             num = float(value.strip())
         except ValueError:
@@ -180,13 +167,10 @@ def parse_filter_config(text: str) -> SkinRangeFilter:
                 f"filter config line {lineno}: bad value {value.strip()!r}"
                 f" (not in [0, {top:g}])"
             )
-        table[space][_CONFIG_SLOTS[(space, channel)]][side == "hi"] = num
-    for (space, channel), slot in _CONFIG_SLOTS.items():
-        lo, hi = table[space][slot]
+        bounds[name][side == "hi"] = num
+    for name, (lo, hi) in bounds.items():
         if lo > hi:
-            raise ValueError(f"filter config: {space}.{channel} has lo {lo:g} > hi {hi:g}")
-    return SkinRangeFilter(
-        rgb=tuple(ChannelRange(lo, hi) for lo, hi in table["rgb"]),
-        hsv=tuple(ChannelRange(lo, hi) for lo, hi in table["hsv"]),
-        ycbcr=tuple(ChannelRange(lo, hi) for lo, hi in table["ycbcr"]),
-    )
+            raise ValueError(f"filter config: {name} has lo {lo:g} > hi {hi:g}")
+    return SkinRangeFilter(**{
+        s: tuple(ChannelRange(lo, hi) for lo, hi in chans.values()) for s, chans in layout.items()
+    })

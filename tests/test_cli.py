@@ -253,6 +253,23 @@ def test_stream_skips_truncated_middle_frame(tmp_path):
     assert not list(out.glob("f001.*"))
 
 
+@pytest.mark.parametrize("command", ["segment", "stream"])
+def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command):
+    frames, paths = stream_frames(tmp_path)
+    out = tmp_path / "out"
+    stems = ["f000", "f001", "f002"]
+    if command == "stream":
+        stems = [f"{stem}.frame{i:06d}" for i, stem in enumerate(stems)]
+    (out / f"{stems[1]}.mask.pgm").mkdir(parents=True)  # the second input cannot be written
+    inputs = paths if command == "segment" else [str(frames)]
+    assert main([command, "--out-dir", str(out), *inputs]) == 1
+    lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    assert [l["file"] for l in lines] == [paths[0], paths[2]]
+    for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
+        assert (out / f"{stems[2]}.{kind}").is_file()
+    assert f"skipping {paths[1]}: " in capsys.readouterr().err
+
+
 def test_malformed_model_is_a_config_error_in_eval_and_segment(tmp_path):
     manifest = write_manifest(tmp_path)
     bad = tmp_path / "bad.json"

@@ -146,6 +146,14 @@ def test_feature_vector_json_key_order():
     assert tuple(obj.keys()) == FEATURE_KEYS
 
 
+def test_feature_keys_are_the_field_order():
+    names = ("mean_h", "mean_s", "mean_v", "mean_y", "mean_cb", "mean_cr", "mean_r", "mean_g", "mean_b")
+    assert FEATURE_KEYS == names
+    expected = np.array([getattr(TABLE5_ROW1, k) for k in names], dtype=np.float64)
+    assert TABLE5_ROW1.as_array().tobytes() == expected.tobytes()
+    assert TABLE5_ROW1.to_json() == json.dumps({k: getattr(TABLE5_ROW1, k) for k in names})
+
+
 def test_feature_vector_table_fixture_lossless():
     assert FeatureVector.from_json(TABLE5_ROW1.to_json()) == TABLE5_ROW1
     assert TABLE5_ROW1.to_json() == FeatureVector.from_json(TABLE5_ROW1.to_json()).to_json()

@@ -159,3 +159,24 @@ def test_invalid_buffers_rejected():
         ImageBuffer(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         BinaryMask(np.zeros((4, 4, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("value", [300, -1, 0.9, np.nan, np.inf])
+def test_image_buffer_rejects_values_that_are_not_bytes(value):
+    pixels = np.zeros((2, 2, 3), dtype=np.asarray(value).dtype)
+    pixels[1, 0, 2] = value
+    with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+        ImageBuffer(pixels)
+
+
+def test_image_buffer_accepts_integer_valued_arrays():
+    pixels = np.arange(24, dtype=np.int64).reshape(2, 4, 3) * 11
+    image = ImageBuffer(pixels)
+    assert image.pixels.dtype == np.uint8
+    assert np.array_equal(image.pixels, pixels)
+    assert ImageBuffer(pixels.astype(np.float64)) == image
+
+
+def test_image_buffer_keeps_uint8_pixels_uncopied():
+    pixels = np.zeros((3, 5, 3), dtype=np.uint8)
+    assert ImageBuffer(pixels).pixels is pixels

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,44 @@ def test_parse_filter_config_raises_only_value_error():
             assert r.lo <= r.hi
 
     check()
+
+
+DEFAULT_FILTER_JSON = (
+    '{"rgb": {"r": [95, 255], "g": [40, 255], "b": [20, 255]}, '
+    '"hsv": {"h": [0.04, 0.0882], "s": [0.11, 0.68], "v": [0.38, 1.0]}, '
+    '"ycbcr": {"cb": [100, 125], "cr": [135, 170]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (default_filter, DEFAULT_FILTER_JSON),
+        (
+            lambda: parse_filter_config("rgb.r.lo = 150\n"),
+            DEFAULT_FILTER_JSON.replace('"r": [95, 255]', '"r": [150.0, 255]'),
+        ),
+    ],
+)
+def test_filter_to_dict_layout(make, expected):
+    # the report's "filter" object, byte for byte, int/float mix included
+    assert json.dumps(make().to_dict()) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "rgb.r.lo = 150\n", NARROW_V, "hsv.h.lo = 0.9\nhsv.h.hi = 1\nycbcr.cb.lo = 0\n"],
+)
+def test_to_dict_round_trips_through_config(text):
+    f = parse_filter_config(text)
+    lines = [
+        f"{space}.{channel}.{side} = {value!r}"
+        for space, channels in f.to_dict().items()
+        for channel, bounds in channels.items()
+        for side, value in zip(("lo", "hi"), bounds)
+    ]
+    assert len(lines) == 16
+    assert parse_filter_config("\n".join(lines)) == f
 
 
 def test_color_space_parse():
