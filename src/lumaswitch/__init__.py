@@ -3,7 +3,7 @@
 from .blobs import ComponentLabeling, denoise, label_components, largest_component
 from .colorspace import FeatureVector, feature_vector, rgb_to_hsv, rgb_to_ycbcr
 from .imaging import BinaryMask, ImageBuffer, load_image, overlay, save_image, save_mask
-from .mlp import MlpModel, Normalization, TrainConfig, load_model, predict_space, save_model, train
+from .mlp import MlpModel, TrainConfig, load_model, predict_space, save_model, train
 from .skinfilter import (
     ColorSpaceId,
     SkinRangeFilter,

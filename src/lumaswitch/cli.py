@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,8 +32,6 @@ from .switching import (
     algorithm3_sigma_connect,
 )
 
-FILTER_CONFIG_ENV = "LUMASWITCH_FILTER_CONFIG"
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -45,7 +42,7 @@ class ConfigError(Exception):
 
 
 def _load_filter(args) -> SkinRangeFilter:
-    path = getattr(args, "filter_config", None) or os.environ.get(FILTER_CONFIG_ENV)
+    path = args.filter_config
     if not path:
         return default_filter()
     try:
@@ -58,10 +55,9 @@ def _load_filter(args) -> SkinRangeFilter:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _segment_one(image: ImageBuffer, args, filt, model_pair) -> SegmentationResult:
+def _segment_one(image: ImageBuffer, args, filt, model) -> SegmentationResult:
     if args.strategy == "ann":
-        model, norm = model_pair
-        return algorithm1_ann_switch(image, model, norm, filt)
+        return algorithm1_ann_switch(image, model, filt)
     if args.strategy == "maxconnected":
         return algorithm2_max_connected(image, filt)
     return algorithm3_sigma_connect(image, filt, vote_threshold=args.vote_threshold)
@@ -83,9 +79,19 @@ def _require_model(args):
 
 
 def _write_artifacts(result: SegmentationResult, stem: str, out_dir: Path) -> None:
-    save_mask(result.mask, out_dir / f"{stem}.mask.pgm")
-    save_mask(result.raw_mask, out_dir / f"{stem}.raw.pgm")
-    save_image(result.overlay, out_dir / f"{stem}.overlay.ppm")
+    """Write one input's three artifacts.  If a write fails, every artifact
+    file of that input is removed before the error propagates, so a
+    skipped input leaves none behind."""
+    paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
+    try:
+        save_mask(result.mask, paths[0])
+        save_mask(result.raw_mask, paths[1])
+        save_image(result.overlay, paths[2])
+    except OSError:
+        for path in paths:
+            if path.is_file():
+                path.unlink()
+        raise
 
 
 def _report_line(result: SegmentationResult, filt, *, file: str, **extra) -> str:
@@ -108,7 +114,7 @@ def _drive(args, entries) -> int:
     holds this run's lines only.  An input that fails to load, segment or
     write is skipped with no report line, and makes the exit code 1."""
     filt = _load_filter(args)
-    model_pair = _require_model(args)
+    model = _require_model(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
@@ -117,7 +123,7 @@ def _drive(args, entries) -> int:
     with open(report_path, "w") as report:
         for file, stem, extra in entries:
             try:
-                result = _segment_one(load_image(file), args, filt, model_pair)
+                result = _segment_one(load_image(file), args, filt, model)
                 _write_artifacts(result, stem, out_dir)
             except (OSError, ValueError) as exc:
                 print(f"skipping {file}: {exc}", file=sys.stderr)
@@ -189,15 +195,13 @@ def cmd_train(args) -> int:
         raise ConfigError(str(exc)) from exc
     rows = _manifest_features(_read_manifest(args.manifest))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
-    mlp.save_model(result.model, result.normalization, args.model)
+    mlp.save_model(result.model, args.model)
     if args.loss_csv:
         with open(args.loss_csv, "w") as fh:
             fh.write("epoch,loss\n")
             for epoch, loss in enumerate(result.losses):
                 fh.write(f"{epoch},{loss!r}\n")
-    correct = sum(
-        mlp.predict_space(result.model, f, result.normalization) == s for _, f, s in rows
-    )
+    correct = sum(mlp.predict_space(result.model, f) == s for _, f, s in rows)
     accuracy = 100.0 * correct / len(rows)
     print(f"trained on {len(rows)} images, {args.epochs} epochs")
     print(f"final loss {result.losses[-1]:.6f} (initial {result.losses[0]:.6f})")
@@ -206,13 +210,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, norm = _load_model(args.model)
+    model = _load_model(args.model)
     entries = _read_manifest(args.manifest)
     rows = _manifest_features(entries)
     confusion = np.zeros((3, 3), dtype=int)
     records = []
     for image_path, features, true_space in rows:
-        predicted = mlp.predict_space(model, features, norm)
+        predicted = mlp.predict_space(model, features)
         confusion[int(true_space), int(predicted)] += 1
         records.append(
             {
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="maxconnected",
         )
         p.add_argument("--model", help="model file (required for --strategy ann)")
-        p.add_argument("--filter-config", help=f"range config file (or ${FILTER_CONFIG_ENV})")
+        p.add_argument("--filter-config", help="range config file")
         p.add_argument("--vote-threshold", type=int, choices=[1, 2, 3], default=1)
         p.add_argument("--out-dir", default="out")
         p.add_argument("--report", help="JSON-lines report path (default <out-dir>/report.jsonl)")

@@ -2,16 +2,16 @@
 3-way softmax output, trained by full-batch gradient descent on mean
 cross-entropy.
 
-Features mix [0,1] and [0,255] scales, so inputs are standardized with a
-per-feature (shift, scale) pair that is persisted alongside the weights;
-a loaded model file is self-contained for inference.
+Features mix [0,1] and [0,255] scales, so the model carries its own
+per-feature input standardization (shift, scale), fitted by ``train`` and
+persisted with the weights; a loaded model is self-contained for inference.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .skinfilter import ColorSpaceId
 
 __all__ = [
     "MlpModel",
-    "Normalization",
     "TrainConfig",
     "TrainResult",
     "softmax",
@@ -38,73 +37,38 @@ MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Normalization:
-    """Per-feature standardization: x_hat = (x - shift) / scale."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=np.float64)
-        scale = np.asarray(self.scale, dtype=np.float64)
-        if shift.shape != (N_FEATURES,) or scale.shape != (N_FEATURES,):
-            raise ValueError("normalization needs 9 shift and 9 scale entries")
-        if not np.all(scale > 0):
-            raise ValueError("every normalization scale must be positive")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-
-    @classmethod
-    def identity(cls) -> "Normalization":
-        return cls(np.zeros(N_FEATURES), np.ones(N_FEATURES))
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "Normalization":
-        """Z-score parameters from an (n, 9) feature matrix.
-
-        Degenerate (constant) features get scale 1 so standardization
-        stays well-defined.
-        """
-        x = np.asarray(features, dtype=np.float64)
-        shift = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        return cls(shift, scale)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
-
-
-@dataclass(frozen=True)
 class MlpModel:
-    """w1: (hidden, 9) input->hidden weights; w2: (3, hidden) hidden->output."""
+    """w1: (hidden, 9) input->hidden weights; w2: (3, hidden) hidden->output.
+    Inputs are standardized as (x - shift) / scale before the first layer;
+    the default shift and scale are the identity."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    shift: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
+    scale: np.ndarray = field(default_factory=lambda: np.ones(N_FEATURES))
 
     def __post_init__(self):
         w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
-        hidden = w1.shape[0]
-        if w1.shape != (hidden, N_FEATURES):
-            raise ValueError(f"w1 must be (hidden, 9), got {w1.shape}")
-        if b1.shape != (hidden,):
-            raise ValueError(f"b1 must be (hidden,), got {b1.shape}")
-        if w2.shape != (N_CLASSES, hidden):
-            raise ValueError(f"w2 must be (3, hidden), got {w2.shape}")
-        if b2.shape != (N_CLASSES,):
-            raise ValueError(f"b2 must be (3,), got {b2.shape}")
-        for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
+        hidden = w1.shape[0] if w1.ndim else 0
+        shapes = {
+            "w1": (hidden, N_FEATURES),
+            "b1": (hidden,),
+            "w2": (N_CLASSES, hidden),
+            "b2": (N_CLASSES,),
+            "shift": (N_FEATURES,),
+            "scale": (N_FEATURES,),
+        }
+        for name, shape in shapes.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
+            object.__setattr__(self, name, arr)
+        if not np.all(self.scale > 0):
+            raise ValueError("every scale entry must be positive")
 
     @property
     def hidden_count(self) -> int:
@@ -130,7 +94,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     model: MlpModel
-    normalization: Normalization
     losses: tuple[float, ...]  # mean cross-entropy per epoch, pre-update
 
 
@@ -153,14 +116,14 @@ def _forward(model: MlpModel, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, softmax(hidden @ model.w2.T + model.b2)
 
 
-def forward(model: MlpModel, x, normalization: Normalization) -> np.ndarray:
+def forward(model: MlpModel, x) -> np.ndarray:
     """Class probabilities for one feature vector (or an (n, 9) batch)."""
-    return _forward(model, normalization.apply(_as_feature_array(x)))[1]
+    return _forward(model, (_as_feature_array(x) - model.shift) / model.scale)[1]
 
 
-def predict_space(model: MlpModel, x, normalization: Normalization) -> ColorSpaceId:
+def predict_space(model: MlpModel, x) -> ColorSpaceId:
     """Argmax class; exact ties break toward RGB < HSV < YCbCr."""
-    p = forward(model, x, normalization)
+    p = forward(model, x)
     return ColorSpaceId(int(np.argmax(p)))
 
 
@@ -205,8 +168,11 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
         raise ValueError("training set is empty")
     x = np.stack([_as_feature_array(f) for f, _ in examples])
     targets = np.array([int(t) for _, t in examples])
-    norm = Normalization.fit(x)
-    xh = norm.apply(x)
+    # z-score; a constant feature gets scale 1 so standardization stays defined
+    shift = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xh = (x - shift) / scale
 
     model = init_model(cfg.hidden_count, cfg.seed)
     hidden, p = _forward(model, xh)
@@ -225,7 +191,7 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
         if not np.isfinite(loss):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)
-    return TrainResult(model=model, normalization=norm, losses=tuple(losses))
+    return TrainResult(model=replace(model, shift=shift, scale=scale), losses=tuple(losses))
 
 
 # serialization ---------------------------------------------------------------
@@ -235,7 +201,7 @@ def train(examples, cfg: TrainConfig) -> TrainResult:
 # of the in-memory (3, hidden) matrix).
 
 
-def _serialize(model: MlpModel, normalization: Normalization) -> str:
+def _serialize(model: MlpModel) -> str:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "hidden_count": model.hidden_count,
@@ -244,19 +210,19 @@ def _serialize(model: MlpModel, normalization: Normalization) -> str:
         "w2": [[float(v) for v in row] for row in model.w2.T],
         "b2": [float(v) for v in model.b2],
         "normalization": {
-            "shift": [float(v) for v in normalization.shift],
-            "scale": [float(v) for v in normalization.scale],
+            "shift": [float(v) for v in model.shift],
+            "scale": [float(v) for v in model.scale],
         },
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def save_model(model: MlpModel, normalization: Normalization, path: str | os.PathLike) -> None:
+def save_model(model: MlpModel, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_serialize(model, normalization))
+        fh.write(_serialize(model))
 
 
-def load_model(path: str | os.PathLike) -> tuple[MlpModel, Normalization]:
+def load_model(path: str | os.PathLike) -> MlpModel:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
@@ -267,18 +233,18 @@ def load_model(path: str | os.PathLike) -> tuple[MlpModel, Normalization]:
         raise ValueError(f"{os.fspath(path)}: unsupported model format_version {version!r}")
     try:
         hidden = int(doc["hidden_count"])
-        w1 = np.array(doc["w1"], dtype=np.float64)
-        b1 = np.array(doc["b1"], dtype=np.float64)
-        w2 = np.array(doc["w2"], dtype=np.float64).T
-        b2 = np.array(doc["b2"], dtype=np.float64)
-        norm = Normalization(
-            np.array(doc["normalization"]["shift"], dtype=np.float64),
-            np.array(doc["normalization"]["scale"], dtype=np.float64),
+        model = MlpModel(
+            w1=doc["w1"],
+            b1=doc["b1"],
+            w2=np.array(doc["w2"], dtype=np.float64).T,
+            b2=doc["b2"],
+            shift=doc["normalization"]["shift"],
+            scale=doc["normalization"]["scale"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{os.fspath(path)}: malformed model file: {exc}") from exc
-    if w1.shape != (hidden, N_FEATURES) or b1.shape != (hidden,) or w2.shape != (N_CLASSES, hidden):
+    if model.hidden_count != hidden:
         raise ValueError(
             f"{os.fspath(path)}: declared hidden_count {hidden} does not match array shapes"
         )
-    return MlpModel(w1, b1, w2, b2), norm
+    return model

@@ -27,7 +27,7 @@ import numpy as np
 from .blobs import denoise, largest_component
 from .colorspace import feature_vector
 from .imaging import BinaryMask, ImageBuffer, overlay
-from .mlp import MlpModel, Normalization, predict_space
+from .mlp import MlpModel, predict_space
 from .skinfilter import ColorSpaceId, SkinRangeFilter, apply_filter, to_space
 
 __all__ = [
@@ -76,14 +76,11 @@ def bayesian_routine(
 
 
 def algorithm1_ann_switch(
-    image: ImageBuffer,
-    model: MlpModel,
-    normalization: Normalization,
-    filt: SkinRangeFilter,
+    image: ImageBuffer, model: MlpModel, filt: SkinRangeFilter
 ) -> SegmentationResult:
     """Network-selected color space, then the pipeline in that space."""
     planes = [to_space(image, s) for s in ColorSpaceId]
-    chosen = predict_space(model, feature_vector(planes), normalization)
+    chosen = predict_space(model, feature_vector(planes))
     run = bayesian_routine(planes[chosen], chosen, filt)
     return SegmentationResult(
         strategy="ann",

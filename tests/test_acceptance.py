@@ -12,7 +12,6 @@ from lumaswitch.colorspace import FeatureVector, rgb_to_hsv, rgb_to_ycbcr
 from lumaswitch.imaging import BinaryMask, ImageBuffer, load_image, load_mask, overlay, save_image
 from lumaswitch.mlp import (
     MlpModel,
-    Normalization,
     _forward,
     _gradients,
     init_model,
@@ -207,7 +206,7 @@ def test_criterion_6_strategy_equivalences():
             b2 = np.zeros(3)
             b2[int(space)] = 5.0
             model = MlpModel(np.zeros((4, 9)), np.zeros(4), np.zeros((3, 4)), b2)
-            result = algorithm1_ann_switch(image, model, Normalization.identity(), filt)
+            result = algorithm1_ann_switch(image, model, filt)
             direct = bayesian_routine(to_space(image, space), space, filt)
             assert result.chosen == space.label
             assert np.array_equal(result.mask.bits, direct.mask.bits)
@@ -246,9 +245,8 @@ def test_criterion_7_end_to_end_fixture(tmp_path):
         filt = default_filter()
 
         model = MlpModel(np.zeros((4, 9)), np.zeros(4), np.zeros((3, 4)), np.array([0.0, 5.0, 0.0]))
-        norm = Normalization.identity()
         results = [
-            algorithm1_ann_switch(image, model, norm, filt),
+            algorithm1_ann_switch(image, model, filt),
             algorithm2_max_connected(image, filt),
             algorithm3_sigma_connect(image, filt),
         ]
@@ -292,13 +290,13 @@ def test_criterion_8_serialization_fixtures(tmp_path):
         }
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(doc))
-        model, norm = load_model(path)
+        model = load_model(path)
         assert [tuple(col) for col in model.w2.T] == table2_rows
         assert list(model.b1) == table4_biases
 
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        save_model(model, norm, p1)
-        save_model(*load_model(p1), p2)
+        save_model(model, p1)
+        save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
         fv = FeatureVector(

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from lumaswitch.cli import main
 from lumaswitch.imaging import load_image, load_mask, save_image
-from lumaswitch.mlp import load_model
+from lumaswitch.mlp import init_model, load_model, save_model
 
 from conftest import make_image, make_patch_image
 
@@ -117,7 +118,7 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
     last = float(losses[-1].split(",")[1])
     assert last < first
 
-    model, norm = load_model(model_path)
+    model = load_model(model_path)
     assert model.hidden_count == 15
 
     report_path = tmp_path / "eval.json"
@@ -160,11 +161,11 @@ def test_train_empty_manifest(tmp_path):
 
 def test_eval_forced_rgb_model(tmp_path):
     # bias-only model that always answers RGB, manifest with 2 HSV images
-    from lumaswitch.mlp import MlpModel, Normalization, save_model
+    from lumaswitch.mlp import MlpModel, save_model
 
     model = MlpModel(w1=np.zeros((2, 9)), b1=np.zeros(2), w2=np.zeros((3, 2)), b2=np.array([5.0, 0, 0]))
     model_path = tmp_path / "forced.json"
-    save_model(model, Normalization.identity(), model_path)
+    save_model(model, model_path)
     lines = []
     for i in range(2):
         p = write_ppm(tmp_path / f"h{i}.ppm", make_image(4, 4, (40, 200, 40)))
@@ -253,21 +254,42 @@ def test_stream_skips_truncated_middle_frame(tmp_path):
     assert not list(out.glob("f001.*"))
 
 
+@pytest.mark.parametrize("blocked", ["mask.pgm", "raw.pgm", "overlay.ppm"])
 @pytest.mark.parametrize("command", ["segment", "stream"])
-def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command):
+def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command, blocked):
     frames, paths = stream_frames(tmp_path)
     out = tmp_path / "out"
     stems = ["f000", "f001", "f002"]
     if command == "stream":
         stems = [f"{stem}.frame{i:06d}" for i, stem in enumerate(stems)]
-    (out / f"{stems[1]}.mask.pgm").mkdir(parents=True)  # the second input cannot be written
+    (out / f"{stems[1]}.{blocked}").mkdir(parents=True)  # the second input cannot be written
     inputs = paths if command == "segment" else [str(frames)]
     assert main([command, "--out-dir", str(out), *inputs]) == 1
     lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
     assert [l["file"] for l in lines] == [paths[0], paths[2]]
     for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
         assert (out / f"{stems[2]}.{kind}").is_file()
+        assert not (out / f"{stems[1]}.{kind}").is_file()  # no partial artifacts
     assert f"skipping {paths[1]}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("b1", [0.0, 0.0]), ("shift", math.nan), ("shift", math.inf), ("shift", -math.inf)]
+)
+def test_invalid_model_values_exit_2_naming_the_file(tmp_path, capsys, field, value):
+    path = tmp_path / "invalid.json"
+    save_model(init_model(3, seed=0), path)
+    doc = json.loads(path.read_text())
+    if field == "shift":
+        doc["normalization"]["shift"][4] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    img_path = write_ppm(tmp_path / "x.ppm", make_image(4, 4))
+    out = tmp_path / "o"
+    assert main(["segment", "--strategy", "ann", "--model", str(path), "--out-dir", str(out), img_path]) == 2
+    assert f"{path}: malformed model file: {field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_model_is_a_config_error_in_eval_and_segment(tmp_path):
@@ -364,13 +386,12 @@ def test_rerun_into_same_out_dir_leaves_one_report_line(tmp_path):
     assert json.loads(lines[0])["file"] == img_path
 
 
-def test_filter_config_env_fallback(tmp_path, monkeypatch):
+def test_filter_config_flag_overrides_ranges(tmp_path):
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.lo = 250\nrgb.g.lo = 0\nrgb.b.lo = 0\n")
-    monkeypatch.setenv("LUMASWITCH_FILTER_CONFIG", str(cfg))
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"
-    rc = main(["segment", "--out-dir", str(out), img_path])
+    rc = main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path])
     assert rc == 0
     rec = json.loads((out / "report.jsonl").read_text().splitlines()[0])
     # patch red value 180 < 250, so the RGB mask is empty under the override

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lumaswitch.mlp import (
     MlpModel,
-    Normalization,
     TrainConfig,
     forward,
     init_model,
@@ -88,18 +90,18 @@ def test_softmax_sums_to_one_and_shift_invariant():
 
 
 def test_forward_zero_network():
-    p = forward(zero_model(), np.ones(9), Normalization.identity())
+    p = forward(zero_model(), np.ones(9))
     assert p == pytest.approx([1 / 3] * 3, abs=1e-15)
 
 
 def test_forward_bias_only_routing():
-    p = forward(bias_model([5.0, 0.0, 0.0]), np.ones(9), Normalization.identity())
+    p = forward(bias_model([5.0, 0.0, 0.0]), np.ones(9))
     assert p == pytest.approx(softmax(np.array([5.0, 0.0, 0.0])), abs=1e-15)
 
 
-def _forward_oracle(model, x, norm):
+def _forward_oracle(model, x):
     """Straight-loop reimplementation of the two layers."""
-    xh = [(x[i] - norm.shift[i]) / norm.scale[i] for i in range(9)]
+    xh = [(x[i] - model.shift[i]) / model.scale[i] for i in range(9)]
     hidden = []
     for j in range(model.hidden_count):
         a = model.b1[j] + sum(model.w1[j, i] * xh[i] for i in range(9))
@@ -115,19 +117,17 @@ def _forward_oracle(model, x, norm):
 
 def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(51)
-    model = init_model(15, seed=7)
-    norm = Normalization(rng.normal(0, 1, 9), rng.uniform(0.5, 2.0, 9))
+    model = replace(init_model(15, seed=7), shift=rng.normal(0, 1, 9), scale=rng.uniform(0.5, 2.0, 9))
     for _ in range(20):
         x = rng.uniform(-3, 3, 9)
-        assert forward(model, x, norm) == pytest.approx(_forward_oracle(model, x, norm), abs=1e-12)
+        assert forward(model, x) == pytest.approx(_forward_oracle(model, x), abs=1e-12)
 
 
 def test_predict_space_bias_models_and_tie():
-    norm = Normalization.identity()
     x = np.ones(9)
-    assert predict_space(bias_model([5, 0, 0]), x, norm) == ColorSpaceId.RGB
-    assert predict_space(bias_model([0, 0, 7]), x, norm) == ColorSpaceId.YCBCR
-    assert predict_space(zero_model(), x, norm) == ColorSpaceId.RGB  # exact tie
+    assert predict_space(bias_model([5, 0, 0]), x) == ColorSpaceId.RGB
+    assert predict_space(bias_model([0, 0, 7]), x) == ColorSpaceId.YCBCR
+    assert predict_space(zero_model(), x) == ColorSpaceId.RGB  # exact tie
 
 
 def test_init_model_range_and_determinism():
@@ -141,7 +141,7 @@ def test_init_model_range_and_determinism():
 def test_train_memorizes_single_example():
     example = (np.linspace(-1, 1, 9), ColorSpaceId.HSV)
     result = train([example], TrainConfig(epochs=2000, learning_rate=0.1, seed=1))
-    p = forward(result.model, example[0], result.normalization)
+    p = forward(result.model, example[0])
     assert p[int(ColorSpaceId.HSV)] > 0.9
 
 
@@ -149,7 +149,7 @@ def test_train_separable_set_reaches_full_accuracy():
     examples = separable_training_set()
     result = train(examples, TrainConfig(epochs=2000, learning_rate=0.01, seed=0))
     for x, target in examples:
-        assert predict_space(result.model, x, result.normalization) == target
+        assert predict_space(result.model, x) == target
     assert result.losses[-1] < result.losses[0]
 
 
@@ -166,7 +166,9 @@ def _reference_train(examples, cfg):
     gradient, as two independent evaluations of the same weights."""
     x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])
     targets = np.array([int(t) for _, t in examples])
-    xh = Normalization.fit(x).apply(x)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xh = (x - x.mean(axis=0)) / scale
     n = len(targets)
 
     def probabilities(m):
@@ -260,7 +262,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        Normalization(np.zeros(9), np.zeros(9))
+        replace(zero_model(), scale=np.zeros(9))
 
 
 # serialization --------------------------------------------------------------
@@ -269,23 +271,23 @@ def test_train_config_validation():
 def test_save_load_round_trip_exact(tmp_path):
     rng = np.random.default_rng(54)
     for hidden in (1, 10, 15, 32):
-        model = init_model(hidden, seed=hidden)
-        norm = Normalization(rng.normal(0, 100, 9), rng.uniform(0.1, 50, 9))
+        model = replace(
+            init_model(hidden, seed=hidden), shift=rng.normal(0, 100, 9), scale=rng.uniform(0.1, 50, 9)
+        )
         path = tmp_path / f"m{hidden}.json"
-        save_model(model, norm, path)
-        loaded, lnorm = load_model(path)
+        save_model(model, path)
+        loaded = load_model(path)
         for a, b in ((model.w1, loaded.w1), (model.b1, loaded.b1), (model.w2, loaded.w2), (model.b2, loaded.b2)):
             assert np.array_equal(a, b)
-        assert np.array_equal(norm.shift, lnorm.shift)
-        assert np.array_equal(norm.scale, lnorm.scale)
+        assert np.array_equal(model.shift, loaded.shift)
+        assert np.array_equal(model.scale, loaded.scale)
 
 
 def test_save_load_save_identical_bytes(tmp_path):
     model = init_model(15, seed=2)
-    norm = Normalization.identity()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(model, norm, p1)
-    save_model(*load_model(p1), p2)
+    save_model(model, p1)
+    save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -305,12 +307,12 @@ def _published_fixture_doc(hidden=3):
 def test_published_weight_fixture_loads_exactly(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(_published_fixture_doc()))
-    model, norm = load_model(path)
+    model = load_model(path)
     # w2 is stored as per-hidden-neuron output triples, i.e. the transpose
     assert [tuple(col) for col in model.w2.T] == TABLE2_ROWS
     assert list(model.b1) == TABLE4_BIASES
-    save_model(model, norm, tmp_path / "again.json")
-    reloaded, _ = load_model(tmp_path / "again.json")
+    save_model(model, tmp_path / "again.json")
+    reloaded = load_model(tmp_path / "again.json")
     assert np.array_equal(model.w2, reloaded.w2)
 
 
@@ -341,3 +343,41 @@ def test_load_model_rejects_other_format_versions(tmp_path, version):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("w1", 5.0),
+        ("b1", [0.1, 0.2]),
+        ("shift", math.nan),
+        ("shift", math.inf),
+        ("shift", -math.inf),
+        ("scale", 0.0),
+        ("normalization", {"shift": [0.0] * 9}),  # a missing key
+    ],
+)
+def test_load_model_invalid_values_name_the_file(tmp_path, field, value):
+    doc = _published_fixture_doc()
+    if field in ("shift", "scale"):
+        doc["normalization"][field][4] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed model file: "):
+        load_model(path)
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    """The bytes of a format_version 1 file are fixed: models saved by
+    earlier releases must stay loadable and re-save identically."""
+    model = replace(
+        init_model(3, seed=5),
+        shift=[0.5, -1.25, 3.0, 120.0, 0.1, 7.75, -0.3, 64.0, 0.2],
+        scale=[1.5, 0.25, 2.0, 30.0, 0.05, 4.0, 0.7, 16.0, 0.9],
+    )
+    path = tmp_path / "pinned.json"
+    save_model(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "9ff7d93c2adc8a0622f7496f775c5dcb4c9db2b9dcbddde0034c5466bc9366dd"

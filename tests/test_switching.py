@@ -4,7 +4,7 @@ import pytest
 from lumaswitch import colorspace, skinfilter
 from lumaswitch.blobs import largest_component
 from lumaswitch.imaging import BinaryMask, ImageBuffer, overlay
-from lumaswitch.mlp import MlpModel, Normalization
+from lumaswitch.mlp import MlpModel
 from lumaswitch.skinfilter import ColorSpaceId, apply_filter, default_filter, to_space
 from lumaswitch.switching import (
     COMBINED,
@@ -26,8 +26,7 @@ def forcing_model(space):
     """Bias-only network that always predicts the given space."""
     b2 = np.zeros(3)
     b2[int(space)] = 5.0
-    model = MlpModel(w1=np.zeros((4, 9)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=b2)
-    return model, Normalization.identity()
+    return MlpModel(w1=np.zeros((4, 9)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=b2)
 
 
 def two_region_image():
@@ -44,7 +43,7 @@ def test_routine_patch_fixture_all_spaces(space, patch_image):
     run = bayesian_routine(to_space(patch_image, space), space, default_filter())
     assert run.mask == patch_mask()
     assert run.blob_size == 256
-    result = algorithm1_ann_switch(patch_image, *forcing_model(space), default_filter())
+    result = algorithm1_ann_switch(patch_image, forcing_model(space), default_filter())
     assert result.overlay == overlay(patch_image, run.mask)
     assert np.array_equal(result.overlay.pixels, patch_image.pixels)
 
@@ -55,7 +54,7 @@ def test_routine_black_image(space):
     run = bayesian_routine(to_space(image, space), space, default_filter())
     assert run.blob_size == 0
     assert not run.mask.bits.any()
-    result = algorithm1_ann_switch(image, *forcing_model(space), default_filter())
+    result = algorithm1_ann_switch(image, forcing_model(space), default_filter())
     assert result.overlay == overlay(image, run.mask)
     assert not result.overlay.pixels.any()
 
@@ -71,8 +70,7 @@ def test_routine_salt_pixels_removed(space, salted_patch_image):
 
 def test_algorithm1_forced_space(patch_image):
     for space in ColorSpaceId:
-        model, norm = forcing_model(space)
-        result = algorithm1_ann_switch(patch_image, model, norm, default_filter())
+        result = algorithm1_ann_switch(patch_image, forcing_model(space), default_filter())
         assert result.chosen == space.label
         assert result.blob_size == 256
         assert result.mask == patch_mask()
@@ -85,8 +83,7 @@ def test_algorithm1_equals_direct_routine():
     for seed in range(5):
         image = ImageBuffer(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8))
         for space in ColorSpaceId:
-            model, norm = forcing_model(space)
-            result = algorithm1_ann_switch(image, model, norm, filt)
+            result = algorithm1_ann_switch(image, forcing_model(space), filt)
             direct = bayesian_routine(to_space(image, space), space, filt)
             assert result.mask == direct.mask
             assert result.blob_size == direct.blob_size
@@ -96,7 +93,7 @@ def test_algorithm1_equals_direct_routine():
 
 def test_algorithm1_tie_breaks_to_rgb(patch_image):
     model = MlpModel(w1=np.zeros((2, 9)), b1=np.zeros(2), w2=np.zeros((3, 2)), b2=np.zeros(3))
-    result = algorithm1_ann_switch(patch_image, model, Normalization.identity(), default_filter())
+    result = algorithm1_ann_switch(patch_image, model, default_filter())
     assert result.chosen == "RGB"
 
 
@@ -194,9 +191,9 @@ def test_algorithm3_rejects_bad_threshold(patch_image):
 
 def test_blob_size_equals_popcount_for_all_strategies(salted_patch_image):
     filt = default_filter()
-    model, norm = forcing_model(ColorSpaceId.HSV)
+    model = forcing_model(ColorSpaceId.HSV)
     results = [
-        algorithm1_ann_switch(salted_patch_image, model, norm, filt),
+        algorithm1_ann_switch(salted_patch_image, model, filt),
         algorithm2_max_connected(salted_patch_image, filt),
         algorithm3_sigma_connect(salted_patch_image, filt),
     ]
@@ -216,7 +213,7 @@ def test_each_strategy_overlays_once(monkeypatch, salted_patch_image):
     monkeypatch.setattr(switching, "overlay", counting_overlay)
     filt = default_filter()
     results = [
-        algorithm1_ann_switch(salted_patch_image, *forcing_model(ColorSpaceId.HSV), filt),
+        algorithm1_ann_switch(salted_patch_image, forcing_model(ColorSpaceId.HSV), filt),
         algorithm2_max_connected(salted_patch_image, filt),
         algorithm3_sigma_connect(salted_patch_image, filt),
     ]
@@ -252,6 +249,6 @@ def test_one_conversion_per_image(strategy, monkeypatch, patch_image):
         elif strategy == "sigmaconnect":
             algorithm3_sigma_connect(image, filt)
         else:
-            model, norm = forcing_model(ColorSpaceId.parse(strategy[4:]))
-            assert algorithm1_ann_switch(image, model, norm, filt).chosen.lower() == strategy[4:]
+            model = forcing_model(ColorSpaceId.parse(strategy[4:]))
+            assert algorithm1_ann_switch(image, model, filt).chosen.lower() == strategy[4:]
         assert calls == {"image_to_hsv": 1, "image_to_ycbcr": 1}
