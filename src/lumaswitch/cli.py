@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .colorspace import feature_vector
+from .colorspace import FEATURE_KEYS, feature_vector
 from .imaging import ImageBuffer, load_image, save_image, save_mask
 from .skinfilter import (
     ColorSpaceId, SkinRangeFilter, default_filter, parse_filter_config, to_space
@@ -78,22 +78,6 @@ def _require_model(args):
     return _load_model(args.model)
 
 
-def _write_artifacts(result: SegmentationResult, stem: str, out_dir: Path) -> None:
-    """Write one input's three artifacts.  If a write fails, every artifact
-    file of that input is removed before the error propagates, so a
-    skipped input leaves none behind."""
-    paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
-    try:
-        save_mask(result.mask, paths[0])
-        save_mask(result.raw_mask, paths[1])
-        save_image(result.overlay, paths[2])
-    except OSError:
-        for path in paths:
-            if path.is_file():
-                path.unlink()
-        raise
-
-
 def _report_line(result: SegmentationResult, filt, *, file: str, **extra) -> str:
     rec = {
         "file": file,
@@ -112,7 +96,8 @@ def _drive(args, entries) -> int:
     fields) entries: load, segment, write artifacts and one report line.
     The report is truncated, once the configuration has loaded, so it
     holds this run's lines only.  An input that fails to load, segment or
-    write is skipped with no report line, and makes the exit code 1."""
+    write is skipped with no report line and none of its artifact files,
+    and makes the exit code 1."""
     filt = _load_filter(args)
     model = _require_model(args)
     out_dir = Path(args.out_dir)
@@ -122,10 +107,16 @@ def _drive(args, entries) -> int:
     status = EXIT_OK
     with open(report_path, "w") as report:
         for file, stem, extra in entries:
+            paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
             try:
                 result = _segment_one(load_image(file), args, filt, model)
-                _write_artifacts(result, stem, out_dir)
+                save_mask(result.mask, paths[0])
+                save_mask(result.raw_mask, paths[1])
+                save_image(result.overlay, paths[2])
             except (OSError, ValueError) as exc:
+                for path in paths:
+                    if path.is_file():
+                        path.unlink()
                 print(f"skipping {file}: {exc}", file=sys.stderr)
                 status = EXIT_RUNTIME
                 continue
@@ -221,7 +212,7 @@ def cmd_eval(args) -> int:
         records.append(
             {
                 "file": image_path,
-                "features": json.loads(features.to_json()),
+                "features": dict(zip(FEATURE_KEYS, features.tolist())),
                 "predicted": predicted.label,
                 "true": true_space.label,
             }

@@ -194,5 +194,4 @@ def overlay(image: ImageBuffer, mask: BinaryMask) -> ImageBuffer:
             f"dimension mismatch: image {image.width}x{image.height}, "
             f"mask {mask.width}x{mask.height}"
         )
-    out = np.where(mask.bits[:, :, None], image.pixels, np.uint8(0))
-    return ImageBuffer(out)
+    return ImageBuffer(image.pixels * mask.bits[..., None])

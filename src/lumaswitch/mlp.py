@@ -2,6 +2,8 @@
 3-way softmax output, trained by full-batch gradient descent on mean
 cross-entropy.
 
+Inputs are ``colorspace.feature_vector`` arrays: nine float64 channel
+means in ``FEATURE_KEYS`` order, one per image or stacked (n, 9).
 Features mix [0,1] and [0,255] scales, so the model carries its own
 per-feature input standardization (shift, scale), fitted by ``train`` and
 persisted with the weights; a loaded model is self-contained for inference.
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .colorspace import FeatureVector
 from .skinfilter import ColorSpaceId
 
 __all__ = [
@@ -104,12 +105,6 @@ def softmax(q: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_feature_array(x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.as_array()
-    return np.asarray(x, dtype=np.float64)
-
-
 def _forward(model: MlpModel, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tanh hidden activations, class probabilities) of normalized inputs."""
     hidden = np.tanh(xh @ model.w1.T + model.b1)
@@ -118,7 +113,7 @@ def _forward(model: MlpModel, xh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Class probabilities for one feature vector (or an (n, 9) batch)."""
-    return _forward(model, (_as_feature_array(x) - model.shift) / model.scale)[1]
+    return _forward(model, (np.asarray(x, dtype=np.float64) - model.shift) / model.scale)[1]
 
 
 def predict_space(model: MlpModel, x) -> ColorSpaceId:
@@ -161,12 +156,12 @@ def _gradients(model: MlpModel, xh: np.ndarray, targets: np.ndarray, hidden, p):
 def train(examples, cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on the labeled feature vectors.
 
-    examples: iterable of (FeatureVector | 9-array, ColorSpaceId).
+    examples: iterable of (9-array, ColorSpaceId).
     """
     examples = list(examples)
     if not examples:
         raise ValueError("training set is empty")
-    x = np.stack([_as_feature_array(f) for f, _ in examples])
+    x = np.array([f for f, _ in examples], dtype=np.float64)
     targets = np.array([int(t) for _, t in examples])
     # z-score; a constant feature gets scale 1 so standardization stays defined
     shift = x.mean(axis=0)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from lumaswitch.cli import main
-from lumaswitch.imaging import load_image, load_mask, save_image
+from lumaswitch.colorspace import FEATURE_KEYS, feature_vector
+from lumaswitch.imaging import ImageBuffer, load_image, load_mask, save_image
 from lumaswitch.mlp import init_model, load_model, save_model
+from lumaswitch.skinfilter import ColorSpaceId, to_space
 
 from conftest import make_image, make_patch_image
 
@@ -180,6 +182,32 @@ def test_eval_forced_rgb_model(tmp_path):
     assert report["per_class_percent"][1] == 0.0
 
 
+# the eval report's features object for the 1x2 image [[255,0,0],[0,0,0]],
+# byte for byte: its keys, their order and every value's repr
+PINNED_FEATURES = (
+    '{"mean_h": 0.0, "mean_s": 0.5, "mean_v": 0.5, "mean_y": 38.122499999999995, '
+    '"mean_cb": 106.48616, "mean_cr": 191.5, "mean_r": 127.5, "mean_g": 0.0, "mean_b": 0.0}'
+)
+
+
+def test_eval_report_features_are_pinned(tmp_path):
+    two = ImageBuffer(np.array([[[255, 0, 0], [0, 0, 0]]], dtype=np.uint8))
+    image = write_ppm(tmp_path / "two.ppm", two)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{image} RGB\n")
+    model_path = tmp_path / "model.json"
+    save_model(init_model(3, seed=0), model_path)
+    report_path = tmp_path / "r.json"
+    assert main(["eval", str(manifest), "--model", str(model_path), "--report", str(report_path)]) == 0
+    features = json.loads(report_path.read_text())["records"][0]["features"]
+    assert json.dumps(features) == PINNED_FEATURES
+    names = ("mean_h", "mean_s", "mean_v", "mean_y", "mean_cb", "mean_cr", "mean_r", "mean_g", "mean_b")
+    assert tuple(features) == FEATURE_KEYS == names
+    array = feature_vector([to_space(two, s) for s in ColorSpaceId])
+    assert array.shape == (9,) and array.dtype == np.float64
+    assert np.array(list(features.values())).tobytes() == array.tobytes()
+
+
 def test_stream_directory(tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -252,6 +280,18 @@ def test_stream_skips_truncated_middle_frame(tmp_path):
     assert [l["file"] for l in lines] == [paths[0], paths[2]]
     assert (out / "f002.frame000002.mask.pgm").exists()
     assert not list(out.glob("f001.*"))
+
+
+def test_input_that_fails_to_load_leaves_no_artifacts(tmp_path, capsys):
+    image = write_ppm(tmp_path / "a.ppm", make_patch_image())
+    out = tmp_path / "out"
+    assert main(["segment", "--out-dir", str(out), image]) == 0
+    assert len(list(out.glob("a.*"))) == 3
+    (tmp_path / "a.ppm").write_bytes((tmp_path / "a.ppm").read_bytes()[:-10])
+    assert main(["segment", "--out-dir", str(out), image]) == 1
+    assert not list(out.glob("a.*"))  # no artifacts of the earlier run
+    assert (out / "report.jsonl").read_text() == ""
+    assert f"skipping {image}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blocked", ["mask.pgm", "raw.pgm", "overlay.ppm"])

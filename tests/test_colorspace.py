@@ -7,7 +7,6 @@ import pytest
 
 from lumaswitch.colorspace import (
     FEATURE_KEYS,
-    FeatureVector,
     feature_vector,
     image_to_hsv,
     image_to_ycbcr,
@@ -24,17 +23,16 @@ def features(image):
     return feature_vector([to_space(image, s) for s in ColorSpaceId])
 
 
-TABLE5_ROW1 = FeatureVector(
-    mean_h=0.162068,
-    mean_s=0.340032,
-    mean_v=0.372549,
-    mean_y=110.34945,
-    mean_cb=117.01452,
-    mean_cr=139.58895,
-    mean_r=128.38988,
-    mean_g=104.7,
-    mean_b=87.5811,
+# Table 5, row 1, in FEATURE_KEYS order
+TABLE5_ROW1 = np.array(
+    [0.162068, 0.340032, 0.372549, 110.34945, 117.01452, 139.58895, 128.38988, 104.7, 87.5811],
+    dtype=np.float64,
 )
+
+
+def as_report(row):
+    """A feature array as the eval report's ``features`` JSON text."""
+    return json.dumps(dict(zip(FEATURE_KEYS, row.tolist())))
 
 
 def test_hsv_pure_red():
@@ -108,27 +106,29 @@ def test_vectorized_conversions_match_scalar():
 
 
 def test_feature_vector_constant_image():
-    fv = features(make_image(6, 9, (100, 150, 200)))
+    mean_h, mean_s, mean_v, mean_y, mean_cb, mean_cr, mean_r, mean_g, mean_b = features(
+        make_image(6, 9, (100, 150, 200))
+    )
     h, s, v = rgb_to_hsv((100, 150, 200))
     y, cb, cr = rgb_to_ycbcr((100, 150, 200))
-    assert (fv.mean_r, fv.mean_g, fv.mean_b) == (100.0, 150.0, 200.0)
-    assert fv.mean_h == pytest.approx(h, abs=1e-9)
-    assert fv.mean_s == pytest.approx(s, abs=1e-9)
-    assert fv.mean_v == pytest.approx(v, abs=1e-9)
-    assert fv.mean_y == pytest.approx(y, abs=1e-9)
-    assert fv.mean_cb == pytest.approx(cb, abs=1e-9)
-    assert fv.mean_cr == pytest.approx(cr, abs=1e-9)
+    assert (mean_r, mean_g, mean_b) == (100.0, 150.0, 200.0)
+    assert mean_h == pytest.approx(h, abs=1e-9)
+    assert mean_s == pytest.approx(s, abs=1e-9)
+    assert mean_v == pytest.approx(v, abs=1e-9)
+    assert mean_y == pytest.approx(y, abs=1e-9)
+    assert mean_cb == pytest.approx(cb, abs=1e-9)
+    assert mean_cr == pytest.approx(cr, abs=1e-9)
 
 
 def test_feature_vector_two_pixel_average():
     img = ImageBuffer(np.array([[[255, 0, 0], [0, 0, 0]]], dtype=np.uint8))
-    fv = features(img)
-    assert fv.mean_r == 127.5
-    assert fv.mean_g == 0.0
-    assert fv.mean_b == 0.0
-    assert fv.mean_h == 0.0
-    assert fv.mean_s == 0.5
-    assert fv.mean_v == 0.5
+    mean_h, mean_s, mean_v, _, _, _, mean_r, mean_g, mean_b = features(img)
+    assert mean_r == 127.5
+    assert mean_g == 0.0
+    assert mean_b == 0.0
+    assert mean_h == 0.0
+    assert mean_s == 0.5
+    assert mean_v == 0.5
 
 
 def test_feature_vector_order_independent():
@@ -138,22 +138,27 @@ def test_feature_vector_order_independent():
     flat = pixels.reshape(-1, 3)
     shuffled = flat[rng.permutation(len(flat))].reshape(8, 8, 3)
     fv2 = features(ImageBuffer(shuffled))
-    assert fv1.as_array() == pytest.approx(fv2.as_array(), abs=1e-9)
+    assert fv1 == pytest.approx(fv2, abs=1e-9)
 
 
 def test_feature_vector_json_key_order():
-    obj = json.loads(TABLE5_ROW1.to_json())
+    obj = json.loads(as_report(TABLE5_ROW1))
     assert tuple(obj.keys()) == FEATURE_KEYS
 
 
 def test_feature_keys_are_the_field_order():
     names = ("mean_h", "mean_s", "mean_v", "mean_y", "mean_cb", "mean_cr", "mean_r", "mean_g", "mean_b")
     assert FEATURE_KEYS == names
-    expected = np.array([getattr(TABLE5_ROW1, k) for k in names], dtype=np.float64)
-    assert TABLE5_ROW1.as_array().tobytes() == expected.tobytes()
-    assert TABLE5_ROW1.to_json() == json.dumps({k: getattr(TABLE5_ROW1, k) for k in names})
+    rgb = (100, 150, 200)
+    fv = features(make_image(3, 4, rgb))
+    assert fv.shape == (9,) and fv.dtype == np.float64
+    expected = dict(zip(names, (*rgb_to_hsv(rgb), *rgb_to_ycbcr(rgb), *rgb)))
+    for i, name in enumerate(names):
+        assert fv[i] == pytest.approx(expected[name], abs=1e-9)
 
 
 def test_feature_vector_table_fixture_lossless():
-    assert FeatureVector.from_json(TABLE5_ROW1.to_json()) == TABLE5_ROW1
-    assert TABLE5_ROW1.to_json() == FeatureVector.from_json(TABLE5_ROW1.to_json()).to_json()
+    obj = json.loads(as_report(TABLE5_ROW1))
+    back = np.array([obj[k] for k in FEATURE_KEYS], dtype=np.float64)
+    assert back.tobytes() == TABLE5_ROW1.tobytes()
+    assert as_report(back) == as_report(TABLE5_ROW1)

@@ -143,6 +143,13 @@ def test_overlay_mixed():
     assert tuple(out.pixels[0, 0]) == (10, 20, 30)
     assert tuple(out.pixels[0, 1]) == (0, 0, 0)
 
+    rng = np.random.default_rng(7)
+    img = ImageBuffer(rng.integers(0, 256, (24, 32, 3), dtype=np.uint8))
+    for bits in (np.zeros((24, 32), bool), np.ones((24, 32), bool), rng.random((24, 32)) < 0.5):
+        out = overlay(img, BinaryMask(bits))
+        assert out.pixels.dtype == np.uint8
+        assert out.pixels.tobytes() == np.where(bits[..., None], img.pixels, np.uint8(0)).tobytes()
+
 
 def test_overlay_dimension_mismatch():
     img = ImageBuffer(np.zeros((2, 2, 3), dtype=np.uint8))

@@ -129,7 +129,7 @@ def test_uint8_rgb_planes_equal_float64_copy(shape):
     planes = [to_space(image, s) for s in ColorSpaceId]
     assert planes[0].dtype == np.uint8
     copies = [pixels.astype(np.float64), *planes[1:]]
-    assert feature_vector(planes) == feature_vector(copies)
+    assert feature_vector(planes).tobytes() == feature_vector(copies).tobytes()
 
     bounds = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
     bounds += [sorted(rng.uniform(0, 255, 2)) for _ in range(4)]
