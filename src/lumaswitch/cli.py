@@ -7,6 +7,10 @@ Subcommands:
   stream   process a directory of frames in lexicographic order
 
 Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
+The filter config and the manifest are UTF-8 text read through one helper,
+``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
+a message that names it.  So do two ``segment`` inputs with one file stem,
+whose artifacts would overwrite each other.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +44,19 @@ class ConfigError(Exception):
     """Invalid command-line or file configuration (exit code 2)."""
 
 
-def _load_filter(args) -> SkinRangeFilter:
-    path = args.filter_config
-    if not path:
-        return default_filter()
+def _read_config(path: str, parse):
+    """``parse`` applied to the UTF-8 text of a config file; a file that
+    cannot be read, decoded or parsed is a ConfigError naming the path."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read filter config {path}: {exc}") from exc
-    try:
-        return parse_filter_config(text)
-    except ValueError as exc:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_filter(args) -> SkinRangeFilter:
+    if not args.filter_config:
+        return default_filter()
+    return _read_config(args.filter_config, parse_filter_config)
 
 
 def _segment_one(image: ImageBuffer, args, filt, model) -> SegmentationResult:
@@ -103,7 +107,6 @@ def _drive(args, entries) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
-    delay_us = getattr(args, "delay_us", 0)
     status = EXIT_OK
     with open(report_path, "w") as report:
         for file, stem, extra in entries:
@@ -123,47 +126,44 @@ def _drive(args, entries) -> int:
             line = _report_line(result, filt, file=file, **extra)
             report.write(line + "\n")
             print(line)
-            if delay_us:
-                time.sleep(delay_us / 1_000_000)
     return status
 
 
 def cmd_segment(args) -> int:
-    return _drive(args, [(str(p), Path(p).stem, {}) for p in args.inputs])
+    inputs = {}  # artifact stem -> the input that writes it
+    for p in args.inputs:
+        stem = Path(p).stem
+        if stem in inputs:
+            raise ConfigError(f"inputs {inputs[stem]} and {p} share the artifact stem {stem!r}")
+        inputs[stem] = p
+    return _drive(args, [(p, stem, {}) for stem, p in inputs.items()])
 
 
 def cmd_stream(args) -> int:
     frames = sorted(Path(args.frames).glob("*.ppm"))
-    if not frames:
-        print(f"no PPM frames in {args.frames}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return _drive(
+    status = _drive(
         args,
         [(str(p), f"{p.stem}.frame{i:06d}", {"frame": i}) for i, p in enumerate(frames)],
     )
+    if not frames:
+        print(f"no PPM frames in {args.frames}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return status
 
 
-def _read_manifest(path: str) -> list[tuple[str, ColorSpaceId]]:
+def _parse_manifest(text: str) -> list[tuple[str, ColorSpaceId]]:
     entries = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             image_path, label = line.rsplit(None, 1)
+            entries.append((image_path, ColorSpaceId.parse(label)))
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: expected '<image> <label>'") from None
-        try:
-            space = ColorSpaceId.parse(label)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: unknown label {label!r}") from None
-        entries.append((image_path, space))
+            raise ValueError(f"line {lineno}: expected '<image> <label>', got {line!r}") from None
     if not entries:
-        raise ConfigError(f"{path}: empty manifest")
+        raise ValueError("empty manifest")
     return entries
 
 
@@ -184,7 +184,7 @@ def cmd_train(args) -> int:
         cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = _manifest_features(_read_manifest(args.manifest))
+    rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
     mlp.save_model(result.model, args.model)
     if args.loss_csv:
@@ -202,8 +202,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model(args.model)
-    entries = _read_manifest(args.manifest)
-    rows = _manifest_features(entries)
+    rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     confusion = np.zeros((3, 3), dtype=int)
     records = []
     for image_path, features, true_space in rows:
@@ -243,12 +242,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumaswitch",
@@ -275,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="segment a directory of frames in sorted order")
     add_strategy_flags(p)
-    p.add_argument("--delay-us", type=_non_negative_int, default=0, help="inter-frame delay (us)")
     p.add_argument("frames", metavar="FRAME_DIR")
     p.set_defaults(func=cmd_stream)
 

@@ -5,11 +5,14 @@ interchange formats are binary PPM (P6) for color images and binary PGM
 (P5) for masks, both with maxval 255; no other format is read.  One codec
 frames both: ``_read_pnm`` and ``_write_pnm`` take the magic number and
 the raster, and the four public load/save functions only choose those.
+``_read_pnm`` parses the header with one pattern, ``_PNM_HEADER``; as in
+netpbm, whitespace (or a '#' comment) must follow the magic.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,46 +107,10 @@ class BinaryMask:
         )
 
 
-def _read_pnm_header(data: bytes, path: str, magic: bytes):
-    """Parse a PNM header, returning (width, height, offset of pixel data).
-
-    Accepts '#' comments anywhere whitespace is allowed.
-    """
-    if not data.startswith(magic):
-        raise PnmError(f"{path}: not a {magic.decode()} file")
-    pos = len(magic)
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise PnmError(f"{path}: truncated header")
-        c = data[pos : pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise PnmError(f"{path}: truncated header")
-            pos = nl + 1
-        elif c.isspace():
-            pos += 1
-        elif c.isdigit():
-            end = pos
-            while end < len(data) and data[end : end + 1].isdigit():
-                end += 1
-            if end - pos > 9:
-                raise PnmError(f"{path}: header number too long")
-            fields.append(int(data[pos:end]))
-            pos = end
-        else:
-            raise PnmError(f"{path}: malformed header")
-    # exactly one whitespace byte separates maxval from pixel data
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PnmError(f"{path}: malformed header")
-    pos += 1
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise PnmError(f"{path}: invalid dimensions {width}x{height}")
-    if maxval != 255:
-        raise PnmError(f"{path}: unsupported maxval {maxval} (must be 255)")
-    return width, height, pos
+# After the magic: three numbers (width, height, maxval) of 1 to 9 ASCII
+# digits, each after a separator of whitespace that may hold '#' comments
+# to the end of their line, then exactly one whitespace byte before the pixels.
+_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*\n)+(\d{1,9})" + rb"\s")
 
 
 def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
@@ -151,9 +118,18 @@ def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
     path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, pos = _read_pnm_header(data, path, magic)
+    if not data.startswith(magic):
+        raise PnmError(f"{path}: not a {magic.decode()} file")
+    header = _PNM_HEADER.match(data, len(magic))
+    if header is None:
+        raise PnmError(f"{path}: malformed header")
+    width, height, maxval = map(int, header.groups())
+    if width < 1 or height < 1:
+        raise PnmError(f"{path}: invalid dimensions {width}x{height}")
+    if maxval != 255:
+        raise PnmError(f"{path}: unsupported maxval {maxval} (must be 255)")
     need = width * height * depth
-    body = data[pos : pos + need]
+    body = data[header.end() : header.end() + need]
     if len(body) < need:
         raise PnmError(f"{path}: truncated pixel data ({len(body)} of {need} bytes)")
     return np.frombuffer(body, dtype=np.uint8).reshape(height, width, depth)

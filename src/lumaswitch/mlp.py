@@ -221,7 +221,7 @@ def load_model(path: str | os.PathLike) -> MlpModel:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not ASCII
             raise ValueError(f"{os.fspath(path)}: malformed model file: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:

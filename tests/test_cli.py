@@ -222,10 +222,19 @@ def test_stream_directory(tmp_path):
     assert {l["blob_size"] for l in lines} == {256}
 
 
-def test_stream_empty_directory(tmp_path):
-    frames = tmp_path / "empty"
-    frames.mkdir()
-    assert main(["stream", "--out-dir", str(tmp_path / "o"), str(frames)]) == 1
+def test_stream_empty_directory(tmp_path, capsys):
+    frames, _ = stream_frames(tmp_path)
+    out = tmp_path / "o"
+    assert main(["stream", "--out-dir", str(out), str(frames)]) == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["stream", "--out-dir", str(out), str(empty)]) == 1
+    assert f"no PPM frames in {empty}" in capsys.readouterr().err
+    assert (out / "report.jsonl").read_text() == ""  # the previous run's lines are gone
+
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_text("rgb.r.lo = 300\n")
+    assert main(["stream", "--filter-config", str(cfg), "--out-dir", str(out), str(empty)]) == 2
 
 
 def test_stream_mixed_dimensions(tmp_path):
@@ -386,12 +395,54 @@ def test_filter_bound_lowered_after_raised_is_accepted(tmp_path):
     assert rec["filter"]["rgb"]["r"] == [10, 50]
 
 
-def test_stream_rejects_negative_delay_before_first_frame(tmp_path):
-    frames, _ = stream_frames(tmp_path)
+def test_filter_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "filter.cfg"
+    cfg.write_bytes(b"\xffrgb.r.lo = 150\n")
+    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["stream", "--delay-us", "-5", "--out-dir", str(out), str(frames)])
-    assert exc.value.code == 2
+    assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 2
+    assert f"error: {cfg}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    model_path = tmp_path / "model.json"
+    save_model(init_model(3, seed=0), model_path)
+    manifest = write_manifest(tmp_path)
+    manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    assert main([command, str(manifest), "--model", str(model_path)]) == 2
+    assert f"error: {manifest}: " in capsys.readouterr().err
+
+
+def test_manifest_line_errors_name_the_file_and_line(tmp_path, capsys):
+    p = write_ppm(tmp_path / "img.ppm", make_image(4, 4))
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"# images\n{p} RGB\n{p}\n")
+    assert main(["train", str(manifest), "--model", str(tmp_path / "m.json")]) == 2
+    assert f"error: {manifest}: line 3: " in capsys.readouterr().err
+
+
+def test_model_file_that_is_not_ascii_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"format_version": "\xc3\xa9"}')
+    img_path = write_ppm(tmp_path / "x.ppm", make_image(4, 4))
+    out = tmp_path / "o"
+    assert main(["segment", "--strategy", "ann", "--model", str(path), "--out-dir", str(out), img_path]) == 2
+    assert f"{path}: malformed model file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("other", ["b/x.ppm", "a/x.ppm"])
+def test_segment_inputs_sharing_a_stem_exit_2_before_any_output(tmp_path, capsys, other):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        write_ppm(tmp_path / name / "x.ppm", make_patch_image())
+    first, second = str(tmp_path / "a/x.ppm"), str(tmp_path / other)
+    out = tmp_path / "out"
+    assert main(["segment", "--out-dir", str(out), first, second]) == 2
+    err = capsys.readouterr().err
+    assert f"inputs {first} and {second} share the artifact stem 'x'" in err
     assert not out.exists()
 
 

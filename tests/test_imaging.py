@@ -46,6 +46,36 @@ def test_load_header_comments(tmp_path):
     assert tuple(img.pixels[0, 0]) == (1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "header, size",
+    [
+        (b"P6\n2 1\n255\n", (2, 1)),  # the pixel data's first byte, 0x0a, is a pixel
+        (b"P6#a\n2#b\n1#c\n255\n", (2, 1)),  # a comment between every pair of fields
+        (b"P6\r2\t1\x0b255\x0c", (2, 1)),
+        (b"P6\x0c\r\n2 \t1\n\n255\r", (2, 1)),
+        (b"P6 000000002 000000001 000000255\n", (2, 1)),  # 9 digits
+        (b"P6 0000000002 1 255\n", PnmError),  # 10 digits
+        (b"P6 2 1 0000000255\n", PnmError),
+        (b"P62 1 255\n", PnmError),  # no whitespace after the magic
+        (b"P6 2 1 255#c\n", PnmError),  # a comment straight after maxval
+        (b"P6 2 1# no newline", PnmError),
+        (b"P6 2 x 255\n", PnmError),
+        (b"P6 0 1 255\n", PnmError),
+    ],
+)
+def test_pnm_header_table(tmp_path, header, size):
+    path = tmp_path / "table.ppm"
+    pixels = bytes([0x0A, 20, 30, 40, 50, 60])
+    path.write_bytes(header + pixels)
+    if size is PnmError:
+        with pytest.raises(PnmError):
+            load_image(path)
+    else:
+        img = load_image(path)
+        assert (img.width, img.height) == size
+        assert img.pixels.tobytes() == pixels
+
+
 def test_load_bad_maxval(tmp_path):
     path = tmp_path / "max.ppm"
     path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))

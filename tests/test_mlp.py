@@ -323,6 +323,13 @@ def test_load_model_malformed(tmp_path):
         load_model(path)
 
 
+def test_load_model_that_is_not_ascii_names_the_file(tmp_path):
+    path = tmp_path / "accent.json"
+    path.write_bytes(json.dumps(_published_fixture_doc()).encode("ascii") + b"\xe9")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: ")):
+        load_model(path)
+
+
 def test_load_model_dimension_mismatch(tmp_path):
     doc = _published_fixture_doc()
     doc["hidden_count"] = 7
