@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
 The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
-whose artifacts would overwrite each other.
+whose artifacts would overwrite each other, and a strategy flag that the
+chosen strategy would not read.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ import numpy as np
 
 from . import mlp
 from .colorspace import FEATURE_KEYS, feature_vector
-from .imaging import ImageBuffer, load_image, save_image, save_mask
-from .skinfilter import (
-    ColorSpaceId, SkinRangeFilter, default_filter, parse_filter_config, to_space
-)
+from .imaging import load_image, save_image, save_mask
+from .skinfilter import ColorSpaceId, default_filter, parse_filter_config, to_space
 from .switching import (
-    SegmentationResult,
     algorithm1_ann_switch,
     algorithm2_max_connected,
     algorithm3_sigma_connect,
@@ -53,20 +51,6 @@ def _read_config(path: str, parse):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_filter(args) -> SkinRangeFilter:
-    if not args.filter_config:
-        return default_filter()
-    return _read_config(args.filter_config, parse_filter_config)
-
-
-def _segment_one(image: ImageBuffer, args, filt, model) -> SegmentationResult:
-    if args.strategy == "ann":
-        return algorithm1_ann_switch(image, model, filt)
-    if args.strategy == "maxconnected":
-        return algorithm2_max_connected(image, filt)
-    return algorithm3_sigma_connect(image, filt, vote_threshold=args.vote_threshold)
-
-
 def _load_model(path: str):
     try:
         return mlp.load_model(path)
@@ -74,25 +58,28 @@ def _load_model(path: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_model(args):
-    if args.strategy != "ann":
-        return None
-    if not args.model:
+def _segmenter(args):
+    """The run's filter, and the strategy as a per-image call with that
+    filter and the model bound.  The strategy flags are checked before any
+    file is read: a flag the strategy does not read is a ConfigError."""
+    if args.model is not None and args.strategy != "ann":
+        raise ConfigError(f"--model is read only by --strategy ann, not {args.strategy}")
+    if args.vote_threshold is not None and args.strategy != "sigmaconnect":
+        raise ConfigError(
+            f"--vote-threshold is read only by --strategy sigmaconnect, not {args.strategy}"
+        )
+    if args.strategy == "ann" and not args.model:
         raise ConfigError("--model is required with --strategy ann")
-    return _load_model(args.model)
-
-
-def _report_line(result: SegmentationResult, filt, *, file: str, **extra) -> str:
-    rec = {
-        "file": file,
-        "strategy": result.strategy,
-        "chosen": result.chosen,
-        "blob_size": result.blob_size,
-        "per_space_sizes": result.per_space_sizes,
-        **extra,
-        "filter": filt.to_dict(),
-    }
-    return json.dumps(rec)
+    filt = default_filter()
+    if args.filter_config:
+        filt = _read_config(args.filter_config, parse_filter_config)
+    if args.strategy == "maxconnected":
+        return filt, lambda image: algorithm2_max_connected(image, filt)
+    if args.strategy == "sigmaconnect":
+        threshold = args.vote_threshold or 1
+        return filt, lambda image: algorithm3_sigma_connect(image, filt, vote_threshold=threshold)
+    model = _load_model(args.model)
+    return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
 def _drive(args, entries) -> int:
@@ -102,8 +89,8 @@ def _drive(args, entries) -> int:
     holds this run's lines only.  An input that fails to load, segment or
     write is skipped with no report line and none of its artifact files,
     and makes the exit code 1."""
-    filt = _load_filter(args)
-    model = _require_model(args)
+    filt, segment = _segmenter(args)
+    filter_fields = filt.to_dict()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
@@ -112,7 +99,7 @@ def _drive(args, entries) -> int:
         for file, stem, extra in entries:
             paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
             try:
-                result = _segment_one(load_image(file), args, filt, model)
+                result = segment(load_image(file))
                 save_mask(result.mask, paths[0])
                 save_mask(result.raw_mask, paths[1])
                 save_image(result.overlay, paths[2])
@@ -123,7 +110,17 @@ def _drive(args, entries) -> int:
                 print(f"skipping {file}: {exc}", file=sys.stderr)
                 status = EXIT_RUNTIME
                 continue
-            line = _report_line(result, filt, file=file, **extra)
+            line = json.dumps(
+                {
+                    "file": file,
+                    "strategy": result.strategy,
+                    "chosen": result.chosen,
+                    "blob_size": result.blob_size,
+                    "per_space_sizes": result.per_space_sizes,
+                    **extra,
+                    "filter": filter_fields,
+                }
+            )
             report.write(line + "\n")
             print(line)
     return status
@@ -255,9 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["ann", "maxconnected", "sigmaconnect"],
             default="maxconnected",
         )
-        p.add_argument("--model", help="model file (required for --strategy ann)")
+        p.add_argument("--model", help="model file (required by, and only for, --strategy ann)")
         p.add_argument("--filter-config", help="range config file")
-        p.add_argument("--vote-threshold", type=int, choices=[1, 2, 3], default=1)
+        p.add_argument(
+            "--vote-threshold",
+            type=int,
+            choices=[1, 2, 3],
+            help="sigmaconnect only: spaces that must agree on a pixel (default 1, a union)",
+        )
         p.add_argument("--out-dir", default="out")
         p.add_argument("--report", help="JSON-lines report path (default <out-dir>/report.jsonl)")
 

@@ -56,14 +56,6 @@ class ImageBuffer:
             raise ValueError(f"expected (h, w, 3) pixel array, got shape {p.shape}")
         object.__setattr__(self, "pixels", p)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
     def __eq__(self, other):
         if not isinstance(other, ImageBuffer):
             return NotImplemented
@@ -86,14 +78,6 @@ class BinaryMask:
         if b.ndim != 2:
             raise ValueError(f"expected (h, w) bit array, got shape {b.shape}")
         object.__setattr__(self, "bits", b)
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
     def count(self) -> int:
         """Number of set pixels."""
@@ -165,9 +149,7 @@ def load_mask(path: str | os.PathLike) -> BinaryMask:
 
 def overlay(image: ImageBuffer, mask: BinaryMask) -> ImageBuffer:
     """Keep image pixels where the mask is set; everything else goes black."""
-    if (image.height, image.width) != (mask.height, mask.width):
-        raise ValueError(
-            f"dimension mismatch: image {image.width}x{image.height}, "
-            f"mask {mask.width}x{mask.height}"
-        )
+    (h, w), (mh, mw) = image.pixels.shape[:2], mask.bits.shape
+    if (h, w) != (mh, mw):
+        raise ValueError(f"dimension mismatch: image {w}x{h}, mask {mw}x{mh}")
     return ImageBuffer(image.pixels * mask.bits[..., None])

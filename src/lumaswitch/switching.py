@@ -2,8 +2,8 @@
 
 Pipeline per space: range filter -> 3x3 majority denoise -> largest
 8-connected blob, on the image's ``to_space`` planes, converted once per
-image and space.  Each strategy overlays only the mask it returns onto
-the original image.
+image and space.  Each strategy decides; one builder, ``_result``,
+renders the overlay of the mask it returns onto the original image.
 
 Strategies:
   * ann:          a trained network picks the space from the 9 channel
@@ -45,10 +45,11 @@ COMBINED = "Combined"
 
 @dataclass(frozen=True)
 class RoutineOutput:
-    """Artifacts of one per-space pipeline run."""
+    """Artifacts of one per-space pipeline run, or of sigmaconnect's
+    combined vote over the three runs."""
 
-    raw_mask: BinaryMask  # straight filter output, pre-denoise
-    mask: BinaryMask  # post-denoise, largest blob only
+    raw_mask: BinaryMask  # filter output (or its vote), pre-denoise
+    mask: BinaryMask  # largest blob only
     blob_size: int
 
 
@@ -75,6 +76,21 @@ def bayesian_routine(
     return RoutineOutput(raw_mask=raw, mask=blob, blob_size=size)
 
 
+def _result(
+    strategy: str, chosen: str, image: ImageBuffer, run: RoutineOutput, sizes: dict[str, int]
+) -> SegmentationResult:
+    """The strategy's decision, with the overlay of its mask rendered."""
+    return SegmentationResult(
+        strategy=strategy,
+        chosen=chosen,
+        mask=run.mask,
+        blob_size=run.blob_size,
+        overlay=overlay(image, run.mask),
+        per_space_sizes=sizes,
+        raw_mask=run.raw_mask,
+    )
+
+
 def algorithm1_ann_switch(
     image: ImageBuffer, model: MlpModel, filt: SkinRangeFilter
 ) -> SegmentationResult:
@@ -82,15 +98,7 @@ def algorithm1_ann_switch(
     planes = [to_space(image, s) for s in ColorSpaceId]
     chosen = predict_space(model, feature_vector(planes))
     run = bayesian_routine(planes[chosen], chosen, filt)
-    return SegmentationResult(
-        strategy="ann",
-        chosen=chosen.label,
-        mask=run.mask,
-        blob_size=run.blob_size,
-        overlay=overlay(image, run.mask),
-        per_space_sizes={chosen.label: run.blob_size},
-        raw_mask=run.raw_mask,
-    )
+    return _result("ann", chosen.label, image, run, {chosen.label: run.blob_size})
 
 
 def algorithm2_max_connected(
@@ -99,16 +107,8 @@ def algorithm2_max_connected(
     """All three spaces; the one with the biggest blob wins."""
     runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
     chosen = max(ColorSpaceId, key=lambda s: (runs[s].blob_size, -int(s)))
-    run = runs[chosen]
-    return SegmentationResult(
-        strategy="maxconnected",
-        chosen=chosen.label,
-        mask=run.mask,
-        blob_size=run.blob_size,
-        overlay=overlay(image, run.mask),
-        per_space_sizes={s.label: runs[s].blob_size for s in ColorSpaceId},
-        raw_mask=run.raw_mask,
-    )
+    sizes = {s.label: runs[s].blob_size for s in ColorSpaceId}
+    return _result("maxconnected", chosen.label, image, runs[chosen], sizes)
 
 
 def algorithm3_sigma_connect(
@@ -124,12 +124,6 @@ def algorithm3_sigma_connect(
     combined = BinaryMask(votes >= vote_threshold)
     blob, size = largest_component(combined)
     raw_votes = sum(runs[s].raw_mask.bits.astype(np.int8) for s in ColorSpaceId)
-    return SegmentationResult(
-        strategy="sigmaconnect",
-        chosen=COMBINED,
-        mask=blob,
-        blob_size=size,
-        overlay=overlay(image, blob),
-        per_space_sizes={s.label: runs[s].blob_size for s in ColorSpaceId},
-        raw_mask=BinaryMask(raw_votes >= vote_threshold),
-    )
+    run = RoutineOutput(BinaryMask(raw_votes >= vote_threshold), blob, size)
+    sizes = {s.label: runs[s].blob_size for s in ColorSpaceId}
+    return _result("sigmaconnect", COMBINED, image, run, sizes)

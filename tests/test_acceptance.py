@@ -113,7 +113,7 @@ def test_criterion_3_connectivity_oracle():
                 assert size == best
                 # tie rule: earliest row-major first encounter wins
                 candidates = [p for p in expected if len(p) == best]
-                winner = min(candidates, key=lambda p: min(y * mask.width + x for y, x in p))
+                winner = min(candidates, key=lambda p: min(y * mask.bits.shape[1] + x for y, x in p))
                 assert frozenset(zip(*(a.tolist() for a in np.nonzero(blob.bits)))) == winner
             else:
                 assert size == 0
@@ -263,12 +263,12 @@ def test_criterion_7_end_to_end_fixture(tmp_path):
         rec = json.loads(report.read_text().splitlines()[0])
         assert rec["blob_size"] == 256
         mask = load_mask(out / "patch.mask.pgm")
-        assert (mask.width, mask.height) == (64, 64)
+        assert mask.bits.shape == (64, 64)
         assert mask == expected
         raw = load_mask(out / "patch.raw.pgm")
-        assert (raw.width, raw.height) == (64, 64)
+        assert raw.bits.shape == (64, 64)
         overlay = load_image(out / "patch.overlay.ppm")
-        assert (overlay.width, overlay.height) == (64, 64)
+        assert overlay.pixels.shape == (64, 64, 3)
 
 
 def test_criterion_8_serialization_fixtures(tmp_path):

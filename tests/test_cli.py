@@ -51,12 +51,12 @@ def test_segment_patch_maxconnected(tmp_path):
     assert rec["filter"]["rgb"]["r"] == [95, 255]
 
     mask = load_mask(out / "patch.mask.pgm")
-    assert (mask.width, mask.height) == (64, 64)
+    assert mask.bits.shape == (64, 64)
     assert mask.count() == 256
     raw = load_mask(out / "patch.raw.pgm")
     assert raw.count() == 256 + 5
     overlay = load_image(out / "patch.overlay.ppm")
-    assert (overlay.width, overlay.height) == (64, 64)
+    assert overlay.pixels.shape == (64, 64, 3)
 
 
 def test_segment_all_black_image(tmp_path):
@@ -67,7 +67,7 @@ def test_segment_all_black_image(tmp_path):
     rec = json.loads((out / "report.jsonl").read_text().splitlines()[0])
     assert rec["blob_size"] == 0
     mask = load_mask(out / "black.mask.pgm")
-    assert (mask.width, mask.height) == (12, 10)
+    assert mask.bits.shape == (10, 12)
     assert mask.count() == 0
 
 
@@ -276,6 +276,31 @@ def test_segment_and_stream_write_the_same_outputs(tmp_path, strategy):
         for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
             seg_bytes = (seg / f"f{i:03d}.{kind}").read_bytes()
             assert seg_bytes == (stream / f"f{i:03d}.frame{i:06d}.{kind}").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["segment", "stream"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "MODEL"],
+        ["--strategy", "sigmaconnect", "--model", "MODEL"],
+        ["--vote-threshold", "2"],
+        ["--strategy", "ann", "--model", "MODEL", "--vote-threshold", "1"],
+    ],
+)
+def test_strategy_flag_the_strategy_does_not_read_exits_2(tmp_path, capsys, command, flags):
+    frames, paths = stream_frames(tmp_path)
+    model_path = tmp_path / "model.json"
+    save_model(init_model(3, seed=0), model_path)
+    flag = flags[-2]  # the flag at fault is given last
+    flags = [str(model_path) if f == "MODEL" else f for f in flags]
+    missing = tmp_path / "missing.cfg"  # the flags are checked before the filter is read
+    out = tmp_path / "out"
+    inputs = paths if command == "segment" else [str(frames)]
+    argv = [command, *flags, "--filter-config", str(missing), "--out-dir", str(out), *inputs]
+    assert main(argv) == 2
+    assert f"error: {flag} is read only by --strategy " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stream_skips_truncated_middle_frame(tmp_path):
@@ -499,3 +524,45 @@ def test_segment_reproducible(tmp_path):
         outs.append(out)
     for fname in ("patch.mask.pgm", "patch.raw.pgm", "patch.overlay.ppm"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+DEFAULT_FILTER_JSON = (
+    '{"rgb": {"r": [95, 255], "g": [40, 255], "b": [20, 255]}, '
+    '"hsv": {"h": [0.04, 0.0882], "s": [0.11, 0.68], "v": [0.38, 1.0]}, '
+    '"ycbcr": {"cb": [100, 125], "cr": [135, 170]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "flags, fields",
+    [
+        (
+            ["--strategy", "maxconnected"],
+            '"strategy": "maxconnected", "chosen": "RGB", "blob_size": 256, '
+            '"per_space_sizes": {"RGB": 256, "HSV": 256, "YCbCr": 256}',
+        ),
+        (
+            ["--strategy", "sigmaconnect", "--vote-threshold", "2"],
+            '"strategy": "sigmaconnect", "chosen": "Combined", "blob_size": 256, '
+            '"per_space_sizes": {"RGB": 256, "HSV": 256, "YCbCr": 256}',
+        ),
+        (
+            ["--strategy", "ann", "--model", "MODEL"],
+            '"strategy": "ann", "chosen": "HSV", "blob_size": 256, "per_space_sizes": {"HSV": 256}',
+        ),
+    ],
+)
+def test_report_line_bytes_are_pinned(tmp_path, flags, fields):
+    """Key order, the filter's int/float mix and where stream puts "frame"."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    img_path = write_ppm(frames / "patch.ppm", make_patch_image())
+    model_path = tmp_path / "model.json"
+    save_model(init_model(3, seed=0), model_path)
+    flags = [str(model_path) if f == "MODEL" else f for f in flags]
+    head = f'{{"file": {json.dumps(img_path)}, {fields}'
+    tail = f'"filter": {DEFAULT_FILTER_JSON}}}\n'
+    assert main(["segment", *flags, "--out-dir", str(tmp_path / "seg"), img_path]) == 0
+    assert (tmp_path / "seg" / "report.jsonl").read_text() == f"{head}, {tail}"
+    assert main(["stream", *flags, "--out-dir", str(tmp_path / "stream"), str(frames)]) == 0
+    assert (tmp_path / "stream" / "report.jsonl").read_text() == f'{head}, "frame": 0, {tail}'

@@ -17,7 +17,7 @@ def test_load_p6_two_pixels(tmp_path):
     path = tmp_path / "two.ppm"
     path.write_bytes(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 0, 0]))
     img = load_image(path)
-    assert (img.width, img.height) == (2, 1)
+    assert img.pixels.shape == (1, 2, 3)
     assert tuple(img.pixels[0, 0]) == (255, 0, 0)
     assert tuple(img.pixels[0, 1]) == (0, 0, 0)
 
@@ -26,7 +26,7 @@ def test_load_p6_single_pixel(tmp_path):
     path = tmp_path / "one.ppm"
     path.write_bytes(b"P6\n1 1\n255\n" + bytes([100, 150, 200]))
     img = load_image(path)
-    assert (img.width, img.height) == (1, 1)
+    assert img.pixels.shape == (1, 1, 3)
     assert tuple(img.pixels[0, 0]) == (100, 150, 200)
 
 
@@ -72,7 +72,7 @@ def test_pnm_header_table(tmp_path, header, size):
             load_image(path)
     else:
         img = load_image(path)
-        assert (img.width, img.height) == size
+        assert img.pixels.shape == (size[1], size[0], 3)
         assert img.pixels.tobytes() == pixels
 
 
@@ -183,9 +183,9 @@ def test_overlay_mixed():
 
 def test_overlay_dimension_mismatch():
     img = ImageBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match="dimension mismatch: image 2x2, mask 3x2"):
         overlay(img, BinaryMask(np.zeros((2, 3), dtype=bool)))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match="dimension mismatch: image 2x2, mask 2x3"):
         overlay(img, BinaryMask(np.zeros((3, 2), dtype=bool)))
 
 
