@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
 The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
-whose artifacts would overwrite each other, and a strategy flag that the
-chosen strategy would not read.
+whose artifacts would overwrite each other, a strategy flag that the
+chosen strategy would not read, and a ``--report`` that cannot be opened.
 """
 
 from __future__ import annotations
@@ -82,6 +82,17 @@ def _segmenter(args):
     return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
+def _check_report(path: Path, out_dir: Path) -> None:
+    """A ``--report`` must be a file in an existing directory or in the
+    out-dir, not a directory or the out-dir itself.  Checked before the
+    out-dir is made, so a report that cannot be opened leaves nothing."""
+    report, out = path.resolve(), out_dir.resolve()
+    if report == out or report.is_dir():
+        raise ConfigError(f"--report {path} is a directory")
+    if not (report.parent == out or report.parent.is_dir()):
+        raise ConfigError(f"--report {path}: no directory {path.parent}")
+
+
 def _drive(args, entries) -> int:
     """The segment/stream loop over (file, artifact stem, extra report
     fields) entries: load, segment, write artifacts and one report line.
@@ -92,8 +103,10 @@ def _drive(args, entries) -> int:
     filt, segment = _segmenter(args)
     filter_fields = filt.to_dict()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
+    if args.report:
+        _check_report(report_path, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
     with open(report_path, "w") as report:
         for file, stem, extra in entries:

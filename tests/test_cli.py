@@ -471,6 +471,34 @@ def test_segment_inputs_sharing_a_stem_exit_2_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
+def _segment_or_stream(tmp_path, command):
+    """The input argument of ``segment`` or ``stream`` for one patch image."""
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    img_path = write_ppm(frames / "p.ppm", make_patch_image())
+    return img_path if command == "segment" else str(frames)
+
+
+@pytest.mark.parametrize("command", ["segment", "stream"])
+@pytest.mark.parametrize("report", ["nodir/r.jsonl", "out"])
+def test_report_that_cannot_be_opened_exits_2_before_any_output(tmp_path, capsys, command, report):
+    # a report in a missing directory, or the out-dir itself
+    source = _segment_or_stream(tmp_path, command)
+    out, report_path = tmp_path / "out", tmp_path / report
+    assert main([command, "--out-dir", str(out), "--report", str(report_path), source]) == 2
+    assert f"--report {report_path}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "stream"])
+def test_report_in_the_out_dir_to_be_made_is_written(tmp_path, command):
+    source = _segment_or_stream(tmp_path, command)
+    out = tmp_path / "new" / "out"
+    assert main([command, "--out-dir", str(out), "--report", str(out / "r.jsonl"), source]) == 0
+    assert json.loads((out / "r.jsonl").read_text())["blob_size"] == 256
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [
