@@ -4,9 +4,12 @@ Connectivity is 8-way (diagonals included).  Labeling is run-based and
 two-scan, after He, Chao & Suzuki, "A run-based two-scan labeling
 algorithm", IEEE TIP 17(5), 2008: the first scan finds each row's runs
 of set pixels and merges touching runs of adjacent rows, the second
-paints every run with its component's label.  Both scans are whole-array
-numpy operations, never recursive, and labels follow row-major
-first-encounter order, so results are fully deterministic.
+paints every run with its component's label.  The runs of all rows come
+from one flat scan: each row is padded with a clear pixel at both ends,
+so in the flattened mask every run starts and ends at a change between
+neighbouring values, and no run reaches into the next row.  Both scans
+are whole-array numpy operations, never recursive, and labels follow
+row-major first-encounter order, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -37,32 +40,38 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
     """8-connected component labeling of a binary mask, by runs.
 
     A run is a maximal horizontal stretch of set pixels, [start, end) in
-    one row; runs are numbered in row-major order.  Two runs in adjacent
-    rows touch (diagonals included) when each starts no later than the
-    other ends.  Touching runs are merged with the smaller run index as
-    the root, so each component's root is its first run in scan order.
+    one row; runs are numbered in row-major order.  One scan of the rows,
+    each padded with a clear pixel at both ends and laid end to end, finds
+    the changes between neighbours: even ones are run starts, odd ones run
+    ends, and their flat indices, row * (w + 2) + column, are sort keys
+    that keep the rows apart.  Two runs in adjacent rows touch (diagonals
+    included) when each starts no later than the other ends.  Touching
+    runs are merged with the smaller run index as the root, so each
+    component's root is its first run in scan order.
     """
     bits = mask.bits
     h, w = bits.shape
-    edges = np.diff(np.pad(bits.astype(np.int8), ((0, 0), (1, 1))), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]
+    stride = w + 2
+    padded = np.zeros((h, stride), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    flat = padded.ravel()
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = change[0::2], change[1::2]
+    runs = len(starts)
 
     # run pairs (above, below) that touch: in the row above run i, the runs
     # lo[i]..hi[i]-1 are those ending at or after i's start and starting at
-    # or before i's end; the row offset keeps the search inside that row
-    stride = w + 1
-    row_above = (rows - 1) * stride
-    lo = np.searchsorted(rows * stride + ends, row_above + starts, side="left")
-    hi = np.searchsorted(rows * stride + starts, row_above + ends, side="right")
+    # or before i's end; subtracting one row's stride searches that row only
+    lo = np.searchsorted(ends, starts - stride, side="left")
+    hi = np.searchsorted(starts, ends - stride, side="right")
     counts = np.maximum(hi - lo, 0)
-    below = np.repeat(np.arange(len(rows)), counts)
+    below = np.repeat(np.arange(runs), counts)
     first = np.repeat(lo - np.cumsum(counts) + counts, counts)
     above_run = first + np.arange(len(below))
 
     # hook each pair's larger root onto its smaller one, then flatten every
     # tree to its root; repeat until no pair spans two trees
-    root = np.arange(len(rows))
+    root = np.arange(runs)
     while len(below):
         a, b = root[above_run], root[below]
         spans = a != b
@@ -72,7 +81,7 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
             root = root[root]
 
     # roots in run order are components in first-encounter order
-    run_label = np.cumsum(root == np.arange(len(rows)))[root]
+    run_label = np.cumsum(root == np.arange(runs))[root]
     lengths = ends - starts
     labels = np.zeros((h, w), dtype=np.int32)
     labels[bits] = np.repeat(run_label, lengths)

@@ -152,4 +152,7 @@ def overlay(image: ImageBuffer, mask: BinaryMask) -> ImageBuffer:
     (h, w), (mh, mw) = image.pixels.shape[:2], mask.bits.shape
     if (h, w) != (mh, mw):
         raise ValueError(f"dimension mismatch: image {w}x{h}, mask {mw}x{mh}")
-    return ImageBuffer(image.pixels * mask.bits[..., None])
+    # as (h, 3w) byte rows: a repeated mask multiplies several times faster
+    # than one broadcast over the length-3 colour axis
+    rows = image.pixels.reshape(h, 3 * w) * np.repeat(mask.bits.view(np.uint8), 3, axis=1)
+    return ImageBuffer(rows.reshape(h, w, 3))

@@ -19,6 +19,7 @@ they are called; the range test, the report's ``filter`` object and the
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,12 +127,29 @@ def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
     return image_to_ycbcr(image)
 
 
+def _byte_bounds(r: ChannelRange) -> tuple[int, int]:
+    """The integer [lo, hi] that holds the same uint8 values as ``r``:
+    ceil(lo) and floor(hi), clamped to [-1, 256] (an empty range for nan)."""
+    lo = 256 if not r.lo <= 256 else -1 if r.lo < -1 else math.ceil(r.lo)
+    hi = -1 if not r.hi >= -1 else 256 if r.hi > 256 else math.floor(r.hi)
+    return lo, hi
+
+
 def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) -> BinaryMask:
-    """Per-pixel range test over planes already in the given space."""
+    """Per-pixel range test over planes already in the given space.
+
+    Each constrained channel is tested as a contiguous copy in one reused
+    buffer, and uint8 planes against the integer bounds that select the
+    same bytes: either runs several times faster than a test of the
+    interleaved planes, or of bytes against a float bound.
+    """
+    ch = np.empty(planes.shape[:2], dtype=planes.dtype)
     bits = np.ones(planes.shape[:2], dtype=bool)
     for (_, i), r in _ranges_for(space, filt):
-        ch = planes[..., i]
-        bits &= (ch >= r.lo) & (ch <= r.hi)
+        np.copyto(ch, planes[..., i])
+        lo, hi = _byte_bounds(r) if planes.dtype == np.uint8 else (r.lo, r.hi)
+        bits &= ch >= lo
+        bits &= ch <= hi
     return BinaryMask(bits)
 
 

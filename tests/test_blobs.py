@@ -104,6 +104,30 @@ def test_single_row_and_column_masks(shape):
     ]
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (9, 13)])
+def test_all_set_masks(shape):
+    lab = label_components(BinaryMask(np.ones(shape, dtype=bool)))
+    assert lab.sizes == (shape[0] * shape[1],)
+    assert np.array_equal(lab.labels, np.ones(shape, dtype=np.int32))
+
+
+def test_full_width_rows_stay_apart_in_the_flat_scan():
+    # the last pixel of one row and the first of the next are neighbours in
+    # the flattened mask but not in the image: two stacked full-width rows,
+    # a full-width row after a blank one, then a row's last pixel over the
+    # next row's first, each of them its own component
+    bits = np.zeros((7, 5), dtype=bool)
+    bits[0:2, :] = bits[3, :] = True
+    bits[5, 4] = bits[6, 0] = True
+    lab = label_components(BinaryMask(bits))
+    assert lab.sizes == (10, 5, 1, 1)
+    expected = np.zeros((7, 5), dtype=np.int32)
+    expected[0:2, :], expected[3, :], expected[5, 4], expected[6, 0] = 1, 2, 3, 4
+    assert np.array_equal(lab.labels, expected)
+    bits[2, :] = bits[4, :] = bits[5, :] = True  # filling the gaps joins them all
+    assert label_components(BinaryMask(bits)).sizes == (31,)
+
+
 def test_runs_touching_both_borders():
     # a full-width row with a one-pixel run under each end, then, after a
     # blank row, a run at each border and a pixel diagonal to the left one

@@ -181,6 +181,23 @@ def test_overlay_mixed():
         assert out.pixels.tobytes() == np.where(bits[..., None], img.pixels, np.uint8(0)).tobytes()
 
 
+@pytest.mark.parametrize("layout", ["strided", "1x1", "1xN"])
+def test_overlay_matches_where_on_any_layout(layout):
+    rng = np.random.default_rng(11)
+    pixels = {
+        "strided": rng.integers(0, 256, (9, 14, 3), dtype=np.uint8)[:, ::2],
+        "1x1": rng.integers(0, 256, (1, 1, 3), dtype=np.uint8),
+        "1xN": rng.integers(0, 256, (1, 37, 3), dtype=np.uint8),
+    }[layout]
+    img = ImageBuffer(pixels)
+    assert img.pixels is pixels  # a strided array is kept uncopied
+    for bits in (rng.random(pixels.shape[:2]) < 0.5, np.ones(pixels.shape[:2], bool)):
+        out = overlay(img, BinaryMask(bits))
+        expected = np.where(bits[..., None], pixels, np.uint8(0))
+        assert out.pixels.shape == pixels.shape and out.pixels.dtype == np.uint8
+        assert out.pixels.tobytes() == expected.tobytes()
+
+
 def test_overlay_dimension_mismatch():
     img = ImageBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match="dimension mismatch: image 2x2, mask 3x2"):

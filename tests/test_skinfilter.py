@@ -108,15 +108,47 @@ def test_apply_filter_mixed():
 
 
 def test_apply_filter_is_pixelwise():
+    # every space through its contiguous-channel test, against the scalar
+    # converters and classify_pixel: the default filter, and random filters
+    # whose bounds are pixel values, so that inclusive ends are hit exactly,
+    # with RGB bounds moved off the integers by a little and by a half step
     rng = np.random.default_rng(13)
-    pixels = rng.integers(0, 256, (6, 6, 3), dtype=np.uint8)
-    hsv = ColorSpaceId.HSV
-    mask = apply_filter(to_space(ImageBuffer(pixels), hsv), hsv, default_filter())
-    f = default_filter()
-    for y in range(6):
-        for x in range(6):
-            px = rgb_to_hsv(tuple(int(v) for v in pixels[y, x]))
-            assert mask.bits[y, x] == classify_pixel(ColorSpaceId.HSV, px, f)
+    pixels = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
+    image = ImageBuffer(pixels)
+    rgb = [tuple(int(v) for v in px) for px in pixels.reshape(-1, 3)]
+    scalar = {
+        ColorSpaceId.RGB: rgb,
+        ColorSpaceId.HSV: [rgb_to_hsv(px) for px in rgb],
+        ColorSpaceId.YCBCR: [rgb_to_ycbcr(px) for px in rgb],
+    }
+
+    def random_range(values, nudge):
+        ordered = sorted(values)
+        n = len(ordered)
+        lo = ordered[rng.integers(0, n // 3)] + rng.choice(nudge)
+        hi = ordered[rng.integers(2 * n // 3, n)] + rng.choice(nudge)
+        return ChannelRange(min(lo, hi), max(lo, hi))
+
+    filters = [default_filter()]
+    for _ in range(6):
+        ranges = {}
+        for space in ColorSpaceId:
+            nudge = [0, 0, 1e-4, -1e-4, 0.5, -0.5] if space == ColorSpaceId.RGB else [0]
+            planes = to_space(image, space)
+            field = getattr(default_filter(), space.name.lower())
+            channels = [0, 1, 2][-len(field):]  # YCbCr constrains Cb and Cr only
+            ranges[space.name.lower()] = tuple(
+                random_range(planes[..., i].ravel().tolist(), nudge) for i in channels
+            )
+        filters.append(SkinRangeFilter(**ranges))
+
+    for space in ColorSpaceId:
+        planes = to_space(image, space)
+        for f in filters:
+            mask = apply_filter(planes, space, f)
+            expected = [classify_pixel(space, px, f) for px in scalar[space]]
+            assert mask.bits.ravel().tolist() == expected
+            assert 0 < mask.count() or f is filters[0]
 
 
 @pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640), (1080, 1920)])
@@ -132,6 +164,11 @@ def test_uint8_rgb_planes_equal_float64_copy(shape):
     assert feature_vector(planes).tobytes() == feature_vector(copies).tobytes()
 
     bounds = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
+    # bounds just off an integer, out of [0, 255], infinite, nan, and empty ranges
+    inf, nan = float("inf"), float("nan")
+    bounds += [(151.0001, 255), (0, 151.0001), (150.9999, 151.0001), (-3, 300), (-3, -3)]
+    bounds += [(300, 300), (254.5, 255), (0, 254.5), (-inf, inf), (-inf, -inf), (inf, inf)]
+    bounds += [(-inf, 94.5), (94.5, inf), (255.5, 255.5), (-0.5, -0.5), (nan, 200), (0, nan)]
     bounds += [sorted(rng.uniform(0, 255, 2)) for _ in range(4)]
     filters = [default_filter()]
     filters += [replace(default_filter(), rgb=(ChannelRange(lo, hi),) * 3) for lo, hi in bounds]
