@@ -9,10 +9,11 @@ Conventions:
   * YCbCr via full-range ITU-R BT.601, chroma centered at 128, values
     kept as reals (clamped to [0,255], no rounding).
 
-``image_to_hsv`` and ``image_to_ycbcr`` gather their planes from tables
-indexed by one byte or one byte pair, which are built at import from the
-float formulas in their operation order.  So the planes are bitwise the
-hexcone and BT.601 float values; the tests hold them to those formulas.
+``image_to_hsv`` and ``image_to_ycbcr`` return channel-first (3, h, w)
+planes, one contiguous plane per channel, gathered from tables indexed by
+one byte or one byte pair.  The tables are built at import from the float
+formulas in their operation order, so the planes are bitwise the hexcone
+and BT.601 float values; the tests hold them to those formulas.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ _HUE_OFFSET = np.array([0.0, 6.0, 2.0, 4.0])
 # b term is stored negated, as x - y and x + (-y) round alike
 _BYTE = np.arange(256.0)
 _R, _G = _BYTE[:, None], _BYTE[None, :]
-_YCC_RG = np.empty((256, 256, 3))
-np.add(0.299 * _R, 0.587 * _G, out=_YCC_RG[..., 0])
-np.subtract(128.0 - 0.168736 * _R, 0.331264 * _G, out=_YCC_RG[..., 1])
-np.subtract(128.0 + 0.5 * _R, 0.418688 * _G, out=_YCC_RG[..., 2])
-_YCC_RG = _YCC_RG.reshape(65536, 3)
-_YCC_B = np.stack([0.114 * _BYTE, 0.5 * _BYTE, -0.081312 * _BYTE], axis=-1)
+_YCC_RG = np.empty((3, 256, 256))
+np.add(0.299 * _R, 0.587 * _G, out=_YCC_RG[0])
+np.subtract(128.0 - 0.168736 * _R, 0.331264 * _G, out=_YCC_RG[1])
+np.subtract(128.0 + 0.5 * _R, 0.418688 * _G, out=_YCC_RG[2])
+_YCC_RG = _YCC_RG.reshape(3, 65536)
+_YCC_B = np.stack([0.114 * _BYTE, 0.5 * _BYTE, -0.081312 * _BYTE])
 
 # pixels per block: a block's temporaries are reused from the heap and stay
 # in cache, where whole-image temporaries would be fresh pages every call
@@ -116,43 +117,40 @@ def _hsv_rows(px: np.ndarray, out: np.ndarray) -> None:
     h = _DIFF.take(_pair(hi, lo))
     h /= _HUE_DIV.take(mm)
     h += _HUE_OFFSET.take(branch)
-    np.divide(h, 6.0, out=out[:, 0])
-    out[:, 1] = _SAT.take(mm)
-    out[:, 2] = _UNIT.take(mx)
+    np.divide(h, 6.0, out=out[0])
+    _SAT.take(mm, out=out[1])
+    _UNIT.take(mx, out=out[2])
 
 
 def _ycbcr_rows(px: np.ndarray, out: np.ndarray) -> None:
     r, g, b = px.T.copy()
-    np.add(_YCC_RG.take(_pair(r, g), axis=0), _YCC_B.take(b, axis=0), out=out)
+    np.add(_YCC_RG.take(_pair(r, g), axis=1), _YCC_B.take(b, axis=1), out=out)
     np.clip(out, 0.0, 255.0, out=out)
 
 
 def _by_blocks(rows, image: ImageBuffer) -> np.ndarray:
     px = image.pixels.reshape(-1, 3)
-    out = np.empty(px.shape)
+    out = np.empty((3, len(px)))
     for start in range(0, len(px), _BLOCK):
-        rows(px[start : start + _BLOCK], out[start : start + _BLOCK])
-    return out.reshape(image.pixels.shape)
+        rows(px[start : start + _BLOCK], out[:, start : start + _BLOCK])
+    return out.reshape(3, *image.pixels.shape[:2])
 
 
 def image_to_hsv(image: ImageBuffer) -> np.ndarray:
-    """Per-pixel HSV planes, shape (h, w, 3) float64, bitwise the values of
+    """Per-pixel HSV planes, shape (3, h, w) float64, bitwise the values of
     ``rgb_to_hsv``."""
     return _by_blocks(_hsv_rows, image)
 
 
 def image_to_ycbcr(image: ImageBuffer) -> np.ndarray:
-    """Per-pixel full-range BT.601 planes, shape (h, w, 3) float64, bitwise
+    """Per-pixel full-range BT.601 planes, shape (3, h, w) float64, bitwise
     the values of ``rgb_to_ycbcr``."""
     return _by_blocks(_ycbcr_rows, image)
 
 
 def feature_vector(planes) -> np.ndarray:
     """Mean of each of the 9 channels over all pixels, as a (9,) float64
-    array in ``FEATURE_KEYS`` order, from an image's RGB, HSV and YCbCr
-    planes in that order (``skinfilter.to_space``)."""
+    array in ``FEATURE_KEYS`` order, from an image's (3, h, w) RGB, HSV and
+    YCbCr planes in that order (``skinfilter.to_space``)."""
     rgb, hsv, ycc = planes
-    means = [hsv[..., i].mean() for i in range(3)]
-    means += [ycc[..., i].mean() for i in range(3)]
-    means += [rgb[..., i].mean() for i in range(3)]
-    return np.array(means, dtype=np.float64)
+    return np.array([p.mean() for p in (*hsv, *ycc, *rgb)])

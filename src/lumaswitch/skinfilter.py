@@ -118,10 +118,10 @@ def classify_pixel(space: ColorSpaceId, pixel: Sequence[float], filt: SkinRangeF
 
 
 def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:
-    """The image's (h, w, 3) planes in ``space`` (RGB: its uint8 pixels, not a
-    copy; HSV, YCbCr: float64): the one space -> converter map."""
+    """The image's C-contiguous (3, h, w) planes in ``space`` (RGB: a uint8
+    copy of its pixels; HSV, YCbCr: float64): the one space -> converter map."""
     if space == ColorSpaceId.RGB:
-        return image.pixels
+        return np.ascontiguousarray(np.moveaxis(image.pixels, -1, 0))
     if space == ColorSpaceId.HSV:
         return image_to_hsv(image)
     return image_to_ycbcr(image)
@@ -136,20 +136,16 @@ def _byte_bounds(r: ChannelRange) -> tuple[int, int]:
 
 
 def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) -> BinaryMask:
-    """Per-pixel range test over planes already in the given space.
+    """Per-pixel range test over (3, h, w) planes already in the given space.
 
-    Each constrained channel is tested as a contiguous copy in one reused
-    buffer, and uint8 planes against the integer bounds that select the
-    same bytes: either runs several times faster than a test of the
-    interleaved planes, or of bytes against a float bound.
+    uint8 planes are tested against the integer bounds that select the same
+    bytes, which is several times faster than bytes against a float bound.
     """
-    ch = np.empty(planes.shape[:2], dtype=planes.dtype)
-    bits = np.ones(planes.shape[:2], dtype=bool)
+    bits = np.ones(planes.shape[1:], dtype=bool)
     for (_, i), r in _ranges_for(space, filt):
-        np.copyto(ch, planes[..., i])
         lo, hi = _byte_bounds(r) if planes.dtype == np.uint8 else (r.lo, r.hi)
-        bits &= ch >= lo
-        bits &= ch <= hi
+        bits &= planes[i] >= lo
+        bits &= planes[i] <= hi
     return BinaryMask(bits)
 
 

@@ -101,8 +101,8 @@ def test_vectorized_conversions_match_scalar():
     hsv = image_to_hsv(img)
     ycc = image_to_ycbcr(img)
     for i, px in enumerate(colors.tolist()):
-        assert tuple(hsv[i, 0]) == rgb_to_hsv(px)
-        assert tuple(ycc[i, 0]) == rgb_to_ycbcr(px)
+        assert tuple(hsv[:, i, 0]) == rgb_to_hsv(px)
+        assert tuple(ycc[:, i, 0]) == rgb_to_ycbcr(px)
 
 
 def _float_hsv(image):
@@ -118,7 +118,7 @@ def _float_hsv(image):
             ((r - g) / delta + 4.0) / 6.0,
         )
         s = np.where(mx == 0.0, 0.0, delta / mx)
-    return np.stack([h % 1.0, s, mx], axis=-1)
+    return np.stack([h % 1.0, s, mx])
 
 
 def _float_ycbcr(image):
@@ -128,16 +128,16 @@ def _float_ycbcr(image):
     y = 0.299 * r + 0.587 * g + 0.114 * b
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.clip(np.stack([y, cb, cr], axis=-1), 0.0, 255.0)
+    return np.clip(np.stack([y, cb, cr]), 0.0, 255.0)
 
 
 def assert_bitwise_float_formulas(image):
     """Both converters give the float formulas' bits (+0.0 and -0.0 differ)
-    in a C-order (h, w, 3) float64 array."""
+    in a C-order (3, h, w) float64 array."""
     for convert, oracle in ((image_to_hsv, _float_hsv), (image_to_ycbcr, _float_ycbcr)):
         got = convert(image)
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.shape == image.pixels.shape
+        assert got.shape == (3, *image.pixels.shape[:2])
         np.testing.assert_array_equal(got.view(np.uint64), oracle(image).view(np.uint64))
 
 

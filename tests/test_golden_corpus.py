@@ -31,7 +31,7 @@ CASES = {
     "ann": ["--strategy", "ann", "--model", "model.json"],
 }
 FILTERS = {"default": None, "r150": "rgb.r.lo = 150\n"}
-# taken from the outputs before the planes became channel-first
+# (case, filter) -> sha256 of the report and every artifact
 DIGESTS = {
     ("maxconnected", "default"): "62acf2ca660d1ea316684292c82ed39dffac496ff1cbacaee9171355e27e103c",
     ("maxconnected", "r150"): "0e2f1eeea78134d697d2981f51fac0ed3b32dcab631da37e2f55477ebbee1a35",

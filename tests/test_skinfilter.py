@@ -124,6 +124,7 @@ def test_apply_filter_is_pixelwise():
 
     def random_range(values, nudge):
         ordered = sorted(values)
+        assert len(ordered) == len(rgb)  # one channel's value at every pixel
         n = len(ordered)
         lo = ordered[rng.integers(0, n // 3)] + rng.choice(nudge)
         hi = ordered[rng.integers(2 * n // 3, n)] + rng.choice(nudge)
@@ -138,7 +139,7 @@ def test_apply_filter_is_pixelwise():
             field = getattr(default_filter(), space.name.lower())
             channels = [0, 1, 2][-len(field):]  # YCbCr constrains Cb and Cr only
             ranges[space.name.lower()] = tuple(
-                random_range(planes[..., i].ravel().tolist(), nudge) for i in channels
+                random_range(planes[i].ravel().tolist(), nudge) for i in channels
             )
         filters.append(SkinRangeFilter(**ranges))
 
@@ -160,8 +161,14 @@ def test_uint8_rgb_planes_equal_float64_copy(shape):
     image = ImageBuffer(pixels)
     planes = [to_space(image, s) for s in ColorSpaceId]
     assert planes[0].dtype == np.uint8
-    copies = [pixels.astype(np.float64), *planes[1:]]
+    copies = [planes[0].astype(np.float64), *planes[1:]]
     assert feature_vector(planes).tobytes() == feature_vector(copies).tobytes()
+    # the same bits as strided channel means of interleaved (h, w, 3) copies,
+    # from which existing model files, loss CSVs and eval reports were made
+    interleaved = [np.moveaxis(p, 0, -1).copy() for p in (planes[1], planes[2], planes[0])]
+    assert np.array_equal(interleaved[2], pixels)
+    strided = [p[..., i].mean() for p in interleaved for i in range(3)]
+    assert feature_vector(planes).tobytes() == np.array(strided).tobytes()
 
     bounds = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
     # bounds just off an integer, out of [0, 255], infinite, nan, and empty ranges
