@@ -1,4 +1,4 @@
-"""Exhaustive check: the table converters give the float formulas' bits
+"""Exhaustive check: the colour converters give the float formulas' bits
 on all 2^24 RGB colours.
 
 Run from the repository root, after the Tier-1 tests:
@@ -6,11 +6,12 @@ Run from the repository root, after the Tier-1 tests:
     PYTHONPATH=src python checks/converters.py
 
 It walks the colours in chunks of four red values (262144 pixels), and
-compares ``image_to_hsv`` and ``image_to_ycbcr`` with the per-pixel float
-formulas that their tables were built from, as uint64 bit patterns, so
-+0.0 and -0.0 differ.  Each chunk's planes must be C-contiguous (3, h, w)
-float64.  It prints one line and exits 0 when every bit matches, and
-exits 1 at the first chunk that differs.
+compares ``image_to_hsv`` and ``image_to_ycbcr`` with the float formulas
+of ``rgb_to_hsv`` and ``rgb_to_ycbcr`` on whole arrays, as uint64 bit
+patterns, so +0.0 and -0.0 differ.  Each chunk's planes must be
+C-contiguous (3, h, w) float64.  It prints one line and exits 0 when every
+bit matches, and exits 1 at the first chunk that differs.  The Tier-1
+converter tests use its ``float_hsv`` and ``float_ycbcr`` as their oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def main() -> int:
                 print(f"{name} differs from its float formulas at red {red} to {red + REDS_PER_CHUNK - 1}")
                 return 1
     seconds = time.perf_counter() - start
-    print(f"HSV and YCbCr tables match their float formulas on all 2^24 colours ({seconds:.1f} s)")
+    print(f"HSV and YCbCr converters match their float formulas on all 2^24 colours ({seconds:.1f} s)")
     return 0
 
 

@@ -11,7 +11,8 @@ The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
 whose artifacts would overwrite each other, a strategy flag that the
-chosen strategy would not read, and a ``--report`` that cannot be opened.
+chosen strategy would not read, and an output file that cannot be opened:
+a ``--report``, or ``train``'s ``--model`` and ``--loss-csv``.
 """
 
 from __future__ import annotations
@@ -82,15 +83,17 @@ def _segmenter(args):
     return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
-def _check_report(path: Path, out_dir: Path) -> None:
-    """A ``--report`` must be a file in an existing directory or in the
-    out-dir, not a directory or the out-dir itself.  Checked before the
-    out-dir is made, so a report that cannot be opened leaves nothing."""
-    report, out = path.resolve(), out_dir.resolve()
-    if report == out or report.is_dir():
-        raise ConfigError(f"--report {path} is a directory")
-    if not (report.parent == out or report.parent.is_dir()):
-        raise ConfigError(f"--report {path}: no directory {path.parent}")
+def _check_output(flag: str, path: str, out_dir: Path | None = None) -> None:
+    """An output file must be in an existing directory, or in the out-dir
+    that ``segment`` and ``stream`` make, and not be a directory or that
+    out-dir.  Checked before any input is read or output made, so a path
+    that cannot be opened leaves nothing."""
+    target = Path(path).resolve()
+    out = out_dir.resolve() if out_dir else None
+    if target == out or target.is_dir():
+        raise ConfigError(f"{flag} {path} is a directory")
+    if not (target.parent == out or target.parent.is_dir()):
+        raise ConfigError(f"{flag} {path}: no directory {Path(path).parent}")
 
 
 def _drive(args, entries) -> int:
@@ -105,7 +108,7 @@ def _drive(args, entries) -> int:
     out_dir = Path(args.out_dir)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
     if args.report:
-        _check_report(report_path, out_dir)
+        _check_output("--report", args.report, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
     with open(report_path, "w") as report:
@@ -194,6 +197,9 @@ def cmd_train(args) -> int:
         cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_output("--model", args.model)
+    if args.loss_csv:
+        _check_output("--loss-csv", args.loss_csv)
     rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
     mlp.save_model(result.model, args.model)
@@ -211,6 +217,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.report:
+        _check_output("--report", args.report)
     model = _load_model(args.model)
     rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     confusion = np.zeros((3, 3), dtype=int)

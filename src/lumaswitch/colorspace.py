@@ -10,10 +10,10 @@ Conventions:
     kept as reals (clamped to [0,255], no rounding).
 
 ``image_to_hsv`` and ``image_to_ycbcr`` return channel-first (3, h, w)
-planes, one contiguous plane per channel, gathered from tables indexed by
-one byte or one byte pair.  The tables are built at import from the float
-formulas in their operation order, so the planes are bitwise the hexcone
-and BT.601 float values; the tests hold them to those formulas.
+planes, one contiguous plane per channel.  They evaluate the hexcone and
+BT.601 float formulas in their operation order, one block of pixels at a
+time, so the planes are bitwise those float values; the tests hold them to
+those formulas.
 """
 
 from __future__ import annotations
@@ -64,41 +64,18 @@ def rgb_to_ycbcr(rgb) -> tuple[float, float, float]:
     return (clamp(y), clamp(cb), clamp(cr))
 
 
-# Every float the converters compute is a function of one byte or of one
-# byte pair, so tables built from the float expressions, in their operation
-# order, give the same bits as evaluating them per pixel.  Pair (a, b) is
-# entry a << 8 | b of a flat table.
-_UNIT = np.arange(256) / 255.0
-_DIFF = np.subtract.outer(_UNIT, _UNIT).ravel()  # a/255 - b/255
-with np.errstate(divide="ignore", invalid="ignore"):
-    _SAT = (_DIFF.reshape(256, 256) / _UNIT[:, None]).ravel()  # (mx, mn)
-_SAT[:256] = 0.0  # mx == 0
-# the hue divisor, infinite where mx == mn: an achromatic pixel's hue
-# numerator is 0, and 0/inf is its hue 0
-_HUE_DIV = _DIFF.copy()
-_HUE_DIV[::257] = np.inf
 # added before the division by 6, by branch: r is max and g >= b, r is max
 # and g < b (the hexcone's "% 6"), g is max, b is max
 _HUE_OFFSET = np.array([0.0, 6.0, 2.0, 4.0])
-
-# (y, cb, cr) rows: the (r, g) terms, to which the b terms are added; cr's
-# b term is stored negated, as x - y and x + (-y) round alike
-_BYTE = np.arange(256.0)
-_R, _G = _BYTE[:, None], _BYTE[None, :]
-_YCC_RG = np.empty((3, 256, 256))
-np.add(0.299 * _R, 0.587 * _G, out=_YCC_RG[0])
-np.subtract(128.0 - 0.168736 * _R, 0.331264 * _G, out=_YCC_RG[1])
-np.subtract(128.0 + 0.5 * _R, 0.418688 * _G, out=_YCC_RG[2])
-_YCC_RG = _YCC_RG.reshape(3, 65536)
-_YCC_B = np.stack([0.114 * _BYTE, 0.5 * _BYTE, -0.081312 * _BYTE])
 
 # pixels per block: a block's temporaries are reused from the heap and stay
 # in cache, where whole-image temporaries would be fresh pages every call
 _BLOCK = 16384
 
 
-def _pair(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    return (hi.astype(np.intp) << 8) | lo
+def _unit(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # cast first: numpy 1.x would divide uint8 by a Python float in float16
+    return np.divide(c.astype(np.float64), 255.0, out=out)
 
 
 def _hsv_rows(px: np.ndarray, out: np.ndarray) -> None:
@@ -113,18 +90,24 @@ def _hsv_rows(px: np.ndarray, out: np.ndarray) -> None:
     hi = is_r * g + is_g * b + is_b * r
     lo = is_r * b + is_g * r + is_b * g
     branch = (is_r & (g < b)) + is_g * np.uint8(2) + is_b * np.uint8(3)
-    mm = _pair(mx, mn)
-    h = _DIFF.take(_pair(hi, lo))
-    h /= _HUE_DIV.take(mm)
+    v = _unit(mx, out=out[2])
+    delta = v - _unit(mn)
+    # black's delta is 0, and 0/inf is its saturation 0
+    np.divide(delta, np.where(mx == 0, np.inf, v), out=out[1])
+    # an achromatic pixel's hue numerator is 0, and 0/inf is its hue 0
+    np.copyto(delta, np.inf, where=mx == mn)
+    h = _unit(hi)
+    h -= _unit(lo)
+    h /= delta
     h += _HUE_OFFSET.take(branch)
     np.divide(h, 6.0, out=out[0])
-    _SAT.take(mm, out=out[1])
-    _UNIT.take(mx, out=out[2])
 
 
 def _ycbcr_rows(px: np.ndarray, out: np.ndarray) -> None:
-    r, g, b = px.T.copy()
-    np.add(_YCC_RG.take(_pair(r, g), axis=1), _YCC_B.take(b, axis=1), out=out)
+    r, g, b = px.T.astype(np.float64, order="C")
+    out[0] = 0.299 * r + 0.587 * g + 0.114 * b
+    out[1] = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    out[2] = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     np.clip(out, 0.0, 255.0, out=out)
 
 

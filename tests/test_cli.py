@@ -520,6 +520,37 @@ def test_train_bad_hyperparameter_exits_2_before_decoding(
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, path",
+    [
+        ("train", "--model", "nodir/m.json"),
+        ("train", "--model", "."),
+        ("train", "--loss-csv", "nodir/l.csv"),
+        ("eval", "--report", "nodir/r.json"),
+        ("eval", "--report", "."),
+    ],
+)
+def test_output_that_cannot_be_opened_exits_2_before_decoding(
+    tmp_path, monkeypatch, capsys, command, flag, path
+):
+    # an output file in a missing directory, or a directory
+    manifest = write_manifest(tmp_path)
+    model = tmp_path / "m.json"
+    if command == "eval":
+        save_model(init_model(3, seed=0), model)
+    bad = tmp_path / path
+    argv = [command, str(manifest)]
+    for name, value in {"--model": str(model), flag: str(bad)}.items():
+        argv += [name, value]
+    decoded = []
+    monkeypatch.setattr("lumaswitch.cli.load_image", lambda image: decoded.append(image))
+    files = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert decoded == []
+    assert sorted(tmp_path.rglob("*")) == files
+    assert f"{flag} {bad}" in capsys.readouterr().err
+
+
 def test_rerun_into_same_out_dir_leaves_one_report_line(tmp_path):
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"

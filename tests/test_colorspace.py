@@ -1,6 +1,8 @@
 import colorsys
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,44 +107,32 @@ def test_vectorized_conversions_match_scalar():
         assert tuple(ycc[:, i, 0]) == rgb_to_ycbcr(px)
 
 
-def _float_hsv(image):
-    """The per-pixel float formulas that the HSV tables were built from."""
-    rgb = image.pixels.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = np.maximum(np.maximum(r, g), b)
-    delta = mx - np.minimum(np.minimum(r, g), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.select(
-            [delta == 0.0, mx == r, mx == g],
-            [0.0, ((g - b) / delta) % 6.0 / 6.0, ((b - r) / delta + 2.0) / 6.0],
-            ((r - g) / delta + 4.0) / 6.0,
-        )
-        s = np.where(mx == 0.0, 0.0, delta / mx)
-    return np.stack([h % 1.0, s, mx])
+def _load_converters_check():
+    """``checks/converters.py``, whose vectorised float formulas are the
+    oracle of the converters here too."""
+    path = Path(__file__).resolve().parents[1] / "checks" / "converters.py"
+    spec = importlib.util.spec_from_file_location("checks_converters", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _float_ycbcr(image):
-    """The per-pixel float formulas that the YCbCr tables were built from."""
-    rgb = image.pixels.astype(np.float64)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.clip(np.stack([y, cb, cr]), 0.0, 255.0)
+converters_check = _load_converters_check()
 
 
 def assert_bitwise_float_formulas(image):
     """Both converters give the float formulas' bits (+0.0 and -0.0 differ)
     in a C-order (3, h, w) float64 array."""
-    for convert, oracle in ((image_to_hsv, _float_hsv), (image_to_ycbcr, _float_ycbcr)):
+    oracles = (converters_check.float_hsv, converters_check.float_ycbcr)
+    for convert, oracle in zip((image_to_hsv, image_to_ycbcr), oracles):
         got = convert(image)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == (3, *image.pixels.shape[:2])
-        np.testing.assert_array_equal(got.view(np.uint64), oracle(image).view(np.uint64))
+        np.testing.assert_array_equal(got.view(np.uint64), oracle(image.pixels).view(np.uint64))
 
 
 @pytest.mark.parametrize("channel", [0, 1, 2])
-def test_table_converters_are_the_float_formulas_on_byte_planes(channel):
+def test_converters_are_the_float_formulas_on_byte_planes(channel):
     # one channel at each edge and mid byte, every pair of the other two
     pairs = np.stack(np.meshgrid(np.arange(256), np.arange(256), indexing="ij"), axis=-1)
     planes = [np.insert(pairs, channel, v, axis=-1) for v in (0, 1, 2, 127, 128, 253, 254, 255)]
@@ -159,7 +149,7 @@ def test_table_converters_are_the_float_formulas_on_byte_planes(channel):
     ],
     ids=["strided", "1x1", "1xN", "1xN-long"],
 )
-def test_table_converters_on_any_image_layout(make):
+def test_converters_on_any_image_layout(make):
     pixels = np.random.default_rng(7).integers(0, 256, (200, 240, 3), dtype=np.uint8)
     image = ImageBuffer(make(pixels))
     assert np.shares_memory(image.pixels, pixels)
