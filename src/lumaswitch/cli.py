@@ -2,6 +2,7 @@
 
 Subcommands:
   segment  run a switching strategy over images, write masks/overlays
+           and print one JSON report line per image on stdout
   train    fit the color-space selector network from a labeled manifest
   eval     confusion matrix of a trained selector over a manifest
   stream   process a directory of frames in lexicographic order
@@ -11,8 +12,8 @@ The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
 whose artifacts would overwrite each other, a strategy flag that the
-chosen strategy would not read, and an output file that cannot be opened:
-a ``--report``, or ``train``'s ``--model`` and ``--loss-csv``.
+chosen strategy would not read, and a ``train`` or ``eval`` output file
+that cannot be opened or that names an input or another output.
 """
 
 from __future__ import annotations
@@ -83,62 +84,57 @@ def _segmenter(args):
     return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
-def _check_output(flag: str, path: str, out_dir: Path | None = None) -> None:
-    """An output file must be in an existing directory, or in the out-dir
-    that ``segment`` and ``stream`` make, and not be a directory or that
-    out-dir.  Checked before any input is read or output made, so a path
-    that cannot be opened leaves nothing."""
+def _check_output(flag: str, path: str, others: dict[str, str]) -> None:
+    """An output file must be in an existing directory, and be neither a
+    directory nor one of ``others``, the inputs and other outputs by name.
+    Checked before any input is read or output made, so it leaves nothing."""
     target = Path(path).resolve()
-    out = out_dir.resolve() if out_dir else None
-    if target == out or target.is_dir():
+    if target.is_dir():
         raise ConfigError(f"{flag} {path} is a directory")
-    if not (target.parent == out or target.parent.is_dir()):
+    if not target.parent.is_dir():
         raise ConfigError(f"{flag} {path}: no directory {Path(path).parent}")
+    for name, other in others.items():
+        if Path(other).resolve() == target:
+            raise ConfigError(f"{flag} {path} is also {name}")
 
 
 def _drive(args, entries) -> int:
     """The segment/stream loop over (file, artifact stem, extra report
-    fields) entries: load, segment, write artifacts and one report line.
-    The report is truncated, once the configuration has loaded, so it
-    holds this run's lines only.  An input that fails to load, segment or
-    write is skipped with no report line and none of its artifact files,
-    and makes the exit code 1."""
+    fields) entries: load, segment, write artifacts and print one JSON
+    report line on stdout.  An input that fails to load, segment or write
+    is skipped with no report line and none of its artifact files, and
+    makes the exit code 1."""
     filt, segment = _segmenter(args)
     filter_fields = filt.to_dict()
     out_dir = Path(args.out_dir)
-    report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
-    if args.report:
-        _check_output("--report", args.report, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
-    with open(report_path, "w") as report:
-        for file, stem, extra in entries:
-            paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
-            try:
-                result = segment(load_image(file))
-                save_mask(result.mask, paths[0])
-                save_mask(result.raw_mask, paths[1])
-                save_image(result.overlay, paths[2])
-            except (OSError, ValueError) as exc:
-                for path in paths:
-                    if path.is_file():
-                        path.unlink()
-                print(f"skipping {file}: {exc}", file=sys.stderr)
-                status = EXIT_RUNTIME
-                continue
-            line = json.dumps(
-                {
-                    "file": file,
-                    "strategy": result.strategy,
-                    "chosen": result.chosen,
-                    "blob_size": result.blob_size,
-                    "per_space_sizes": result.per_space_sizes,
-                    **extra,
-                    "filter": filter_fields,
-                }
-            )
-            report.write(line + "\n")
-            print(line)
+    for file, stem, extra in entries:
+        paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
+        try:
+            result = segment(load_image(file))
+            save_mask(result.mask, paths[0])
+            save_mask(result.raw_mask, paths[1])
+            save_image(result.overlay, paths[2])
+        except (OSError, ValueError) as exc:
+            for path in paths:
+                if path.is_file():
+                    path.unlink()
+            print(f"skipping {file}: {exc}", file=sys.stderr)
+            status = EXIT_RUNTIME
+            continue
+        line = json.dumps(
+            {
+                "file": file,
+                "strategy": result.strategy,
+                "chosen": result.chosen,
+                "blob_size": result.blob_size,
+                "per_space_sizes": result.per_space_sizes,
+                **extra,
+                "filter": filter_fields,
+            }
+        )
+        print(line)
     return status
 
 
@@ -197,9 +193,10 @@ def cmd_train(args) -> int:
         cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_output("--model", args.model)
+    inputs = {"the manifest": args.manifest}
+    _check_output("--model", args.model, inputs)
     if args.loss_csv:
-        _check_output("--loss-csv", args.loss_csv)
+        _check_output("--loss-csv", args.loss_csv, {**inputs, "--model": args.model})
     rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
     mlp.save_model(result.model, args.model)
@@ -218,7 +215,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.report:
-        _check_output("--report", args.report)
+        others = {"the manifest": args.manifest, "--model": args.model}
+        _check_output("--report", args.report, others)
     model = _load_model(args.model)
     rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
     confusion = np.zeros((3, 3), dtype=int)
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="sigmaconnect only: spaces that must agree on a pixel (default 1, a union)",
         )
         p.add_argument("--out-dir", default="out")
-        p.add_argument("--report", help="JSON-lines report path (default <out-dir>/report.jsonl)")
 
     p = sub.add_parser("segment", help="segment one or more images")
     add_strategy_flags(p)
@@ -298,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="lines of '<image path> <RGB|HSV|YCbCr>'")
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--loss-csv", help="optional per-epoch loss trace")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--hidden", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=mlp.TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=mlp.TrainConfig.learning_rate)
+    p.add_argument("--hidden", type=int, default=mlp.TrainConfig.hidden_count)
+    p.add_argument("--seed", type=int, default=mlp.TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="confusion matrix over a labeled manifest")

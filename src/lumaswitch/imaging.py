@@ -113,10 +113,11 @@ def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
     if maxval != 255:
         raise PnmError(f"{path}: unsupported maxval {maxval} (must be 255)")
     need = width * height * depth
-    body = data[header.end() : header.end() + need]
-    if len(body) < need:
-        raise PnmError(f"{path}: truncated pixel data ({len(body)} of {need} bytes)")
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, depth)
+    have = len(data) - header.end()
+    if have < need:
+        raise PnmError(f"{path}: truncated pixel data ({have} of {need} bytes)")
+    pixels = np.frombuffer(data, np.uint8, count=need, offset=header.end())
+    return pixels.reshape(height, width, depth)
 
 
 def _write_pnm(path: str | os.PathLike, magic: bytes, raster: np.ndarray) -> None:

@@ -238,7 +238,7 @@ def test_criterion_6_strategy_equivalences():
             assert result3.blob_size == expected_size
 
 
-def test_criterion_7_end_to_end_fixture(tmp_path):
+def test_criterion_7_end_to_end_fixture(tmp_path, capsys):
     with criterion(7, "salted patch fixture through every strategy", 10):
         image = make_patch_image(with_salt=True)
         expected = patch_mask()
@@ -257,10 +257,9 @@ def test_criterion_7_end_to_end_fixture(tmp_path):
         img_path = tmp_path / "patch.ppm"
         save_image(image, img_path)
         out = tmp_path / "out"
-        report = tmp_path / "report.jsonl"
-        rc = main(["segment", "--out-dir", str(out), "--report", str(report), str(img_path)])
+        rc = main(["segment", "--out-dir", str(out), str(img_path)])
         assert rc == 0
-        rec = json.loads(report.read_text().splitlines()[0])
+        rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert rec["blob_size"] == 256
         mask = load_mask(out / "patch.mask.pgm")
         assert mask.bits.shape == (64, 64)

@@ -36,15 +36,12 @@ def write_manifest(tmp_path, name="manifest.txt"):
     return manifest
 
 
-def test_segment_patch_maxconnected(tmp_path):
+def test_segment_patch_maxconnected(tmp_path, capsys):
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image(with_salt=True))
     out = tmp_path / "out"
-    report = tmp_path / "report.jsonl"
-    rc = main(
-        ["segment", "--strategy", "maxconnected", "--out-dir", str(out), "--report", str(report), img_path]
-    )
+    rc = main(["segment", "--strategy", "maxconnected", "--out-dir", str(out), img_path])
     assert rc == 0
-    rec = json.loads(report.read_text().splitlines()[0])
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["chosen"] == "RGB"
     assert rec["blob_size"] == 256
     assert rec["per_space_sizes"] == {"RGB": 256, "HSV": 256, "YCbCr": 256}
@@ -59,12 +56,12 @@ def test_segment_patch_maxconnected(tmp_path):
     assert overlay.pixels.shape == (64, 64, 3)
 
 
-def test_segment_all_black_image(tmp_path):
+def test_segment_all_black_image(tmp_path, capsys):
     img_path = write_ppm(tmp_path / "black.ppm", make_image(10, 12))
     out = tmp_path / "out"
     rc = main(["segment", "--out-dir", str(out), img_path])
     assert rc == 0
-    rec = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["blob_size"] == 0
     mask = load_mask(out / "black.mask.pgm")
     assert mask.bits.shape == (10, 12)
@@ -79,13 +76,13 @@ def test_segment_ann_requires_model(tmp_path, capsys):
     assert "--model" in err and "usage" in err
 
 
-def test_segment_unreadable_input_skipped(tmp_path):
+def test_segment_unreadable_input_skipped(tmp_path, capsys):
     good = write_ppm(tmp_path / "good.ppm", make_patch_image())
     bad = tmp_path / "missing.ppm"
     out = tmp_path / "out"
     rc = main(["segment", "--out-dir", str(out), str(bad), good])
     assert rc == 1
-    lines = (out / "report.jsonl").read_text().splitlines()
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1  # only the good image produced a record
     assert json.loads(lines[0])["blob_size"] == 256
 
@@ -208,16 +205,15 @@ def test_eval_report_features_are_pinned(tmp_path):
     assert np.array(list(features.values())).tobytes() == array.tobytes()
 
 
-def test_stream_directory(tmp_path):
+def test_stream_directory(tmp_path, capsys):
     frames = tmp_path / "frames"
     frames.mkdir()
     for i in range(3):
         write_ppm(frames / f"f{i:03d}.ppm", make_patch_image())
     out = tmp_path / "out"
-    report = tmp_path / "r.jsonl"
-    rc = main(["stream", "--out-dir", str(out), "--report", str(report), str(frames)])
+    rc = main(["stream", "--out-dir", str(out), str(frames)])
     assert rc == 0
-    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [l["frame"] for l in lines] == [0, 1, 2]
     assert {l["blob_size"] for l in lines} == {256}
 
@@ -230,23 +226,21 @@ def test_stream_empty_directory(tmp_path, capsys):
     empty.mkdir()
     assert main(["stream", "--out-dir", str(out), str(empty)]) == 1
     assert f"no PPM frames in {empty}" in capsys.readouterr().err
-    assert (out / "report.jsonl").read_text() == ""  # the previous run's lines are gone
 
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.lo = 300\n")
     assert main(["stream", "--filter-config", str(cfg), "--out-dir", str(out), str(empty)]) == 2
 
 
-def test_stream_mixed_dimensions(tmp_path):
+def test_stream_mixed_dimensions(tmp_path, capsys):
     frames = tmp_path / "frames"
     frames.mkdir()
     write_ppm(frames / "a.ppm", make_image(4, 6))
     write_ppm(frames / "b.ppm", make_patch_image())
     out = tmp_path / "out"
-    report = tmp_path / "r.jsonl"
-    rc = main(["stream", "--out-dir", str(out), "--report", str(report), str(frames)])
+    rc = main(["stream", "--out-dir", str(out), str(frames)])
     assert rc == 0
-    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [l["blob_size"] for l in lines] == [0, 256]
 
 
@@ -259,15 +253,15 @@ def stream_frames(tmp_path):
 
 
 @pytest.mark.parametrize("strategy", [["maxconnected"], ["sigmaconnect", "--vote-threshold", "2"]])
-def test_segment_and_stream_write_the_same_outputs(tmp_path, strategy):
+def test_segment_and_stream_write_the_same_outputs(tmp_path, capsys, strategy):
     frames, paths = stream_frames(tmp_path)
     seg, stream = tmp_path / "seg", tmp_path / "stream"
     flags = ["--strategy", *strategy]
     assert main(["segment", *flags, "--out-dir", str(seg), *paths]) == 0
+    seg_lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert main(["stream", *flags, "--out-dir", str(stream), str(frames)]) == 0
+    stream_lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
 
-    seg_lines = [json.loads(l) for l in (seg / "report.jsonl").read_text().splitlines()]
-    stream_lines = [json.loads(l) for l in (stream / "report.jsonl").read_text().splitlines()]
     assert [l.pop("file") for l in seg_lines] == paths
     assert [l.pop("file") for l in stream_lines] == paths
     assert [l.pop("frame") for l in stream_lines] == [0, 1, 2]
@@ -303,13 +297,13 @@ def test_strategy_flag_the_strategy_does_not_read_exits_2(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_stream_skips_truncated_middle_frame(tmp_path):
+def test_stream_skips_truncated_middle_frame(tmp_path, capsys):
     frames, paths = stream_frames(tmp_path)
     middle = frames / "f001.ppm"
     middle.write_bytes(middle.read_bytes()[:-10])
     out = tmp_path / "out"
     assert main(["stream", "--out-dir", str(out), str(frames)]) == 1
-    lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [l["frame"] for l in lines] == [0, 2]
     assert [l["file"] for l in lines] == [paths[0], paths[2]]
     assert (out / "f002.frame000002.mask.pgm").exists()
@@ -321,11 +315,13 @@ def test_input_that_fails_to_load_leaves_no_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["segment", "--out-dir", str(out), image]) == 0
     assert len(list(out.glob("a.*"))) == 3
+    capsys.readouterr()
     (tmp_path / "a.ppm").write_bytes((tmp_path / "a.ppm").read_bytes()[:-10])
     assert main(["segment", "--out-dir", str(out), image]) == 1
     assert not list(out.glob("a.*"))  # no artifacts of the earlier run
-    assert (out / "report.jsonl").read_text() == ""
-    assert f"skipping {image}: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"skipping {image}: " in captured.err
 
 
 @pytest.mark.parametrize("blocked", ["mask.pgm", "raw.pgm", "overlay.ppm"])
@@ -339,12 +335,13 @@ def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command,
     (out / f"{stems[1]}.{blocked}").mkdir(parents=True)  # the second input cannot be written
     inputs = paths if command == "segment" else [str(frames)]
     assert main([command, "--out-dir", str(out), *inputs]) == 1
-    lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+    captured = capsys.readouterr()
+    lines = [json.loads(l) for l in captured.out.splitlines()]
     assert [l["file"] for l in lines] == [paths[0], paths[2]]
     for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
         assert (out / f"{stems[2]}.{kind}").is_file()
         assert not (out / f"{stems[1]}.{kind}").is_file()  # no partial artifacts
-    assert f"skipping {paths[1]}: " in capsys.readouterr().err
+    assert f"skipping {paths[1]}: " in captured.err
 
 
 @pytest.mark.parametrize(
@@ -410,13 +407,13 @@ def test_filter_bounds_out_of_order_exit_2(tmp_path, capsys, text, channel):
     assert not out.exists()
 
 
-def test_filter_bound_lowered_after_raised_is_accepted(tmp_path):
+def test_filter_bound_lowered_after_raised_is_accepted(tmp_path, capsys):
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.hi = 50\nrgb.r.lo = 10\n")
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"
     assert main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path]) == 0
-    rec = json.loads((out / "report.jsonl").read_text())
+    rec = json.loads(capsys.readouterr().out)
     assert rec["filter"]["rgb"]["r"] == [10, 50]
 
 
@@ -471,32 +468,25 @@ def test_segment_inputs_sharing_a_stem_exit_2_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
-def _segment_or_stream(tmp_path, command):
-    """The input argument of ``segment`` or ``stream`` for one patch image."""
-    frames = tmp_path / "frames"
-    frames.mkdir()
-    img_path = write_ppm(frames / "p.ppm", make_patch_image())
-    return img_path if command == "segment" else str(frames)
-
-
 @pytest.mark.parametrize("command", ["segment", "stream"])
-@pytest.mark.parametrize("report", ["nodir/r.jsonl", "out"])
-def test_report_that_cannot_be_opened_exits_2_before_any_output(tmp_path, capsys, command, report):
-    # a report in a missing directory, or the out-dir itself
-    source = _segment_or_stream(tmp_path, command)
-    out, report_path = tmp_path / "out", tmp_path / report
-    assert main([command, "--out-dir", str(out), "--report", str(report_path), source]) == 2
-    assert f"--report {report_path}" in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "nodir").exists()
-
-
-@pytest.mark.parametrize("command", ["segment", "stream"])
-def test_report_in_the_out_dir_to_be_made_is_written(tmp_path, command):
-    source = _segment_or_stream(tmp_path, command)
-    out = tmp_path / "new" / "out"
-    assert main([command, "--out-dir", str(out), "--report", str(out / "r.jsonl"), source]) == 0
-    assert json.loads((out / "r.jsonl").read_text())["blob_size"] == 256
+def test_segment_and_stream_write_only_the_three_artifacts(tmp_path, capsys, command):
+    # the report lines go to stdout only: no report file, and no flag to name one
+    frames, paths = stream_frames(tmp_path)
+    out = tmp_path / "out"
+    inputs = paths if command == "segment" else [str(frames)]
+    assert main([command, "--out-dir", str(out), *inputs]) == 0
+    assert [json.loads(l)["file"] for l in capsys.readouterr().out.splitlines()] == paths
+    stems = ["f000", "f001", "f002"]
+    if command == "stream":
+        stems = [f"{stem}.frame{i:06d}" for i, stem in enumerate(stems)]
+    kinds = ("mask.pgm", "raw.pgm", "overlay.ppm")
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{s}.{k}" for s in stems for k in kinds)
+    report, other = tmp_path / "r.jsonl", tmp_path / "other"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out-dir", str(other), "--report", str(report), *inputs])
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    assert not report.exists() and not other.exists()
 
 
 @pytest.mark.parametrize(
@@ -528,12 +518,18 @@ def test_train_bad_hyperparameter_exits_2_before_decoding(
         ("train", "--loss-csv", "nodir/l.csv"),
         ("eval", "--report", "nodir/r.json"),
         ("eval", "--report", "."),
+        ("train", "--model", "manifest.txt"),
+        ("train", "--loss-csv", "m.json"),
+        ("train", "--loss-csv", "manifest.txt"),
+        ("eval", "--report", "manifest.txt"),
+        ("eval", "--report", "m.json"),
     ],
 )
 def test_output_that_cannot_be_opened_exits_2_before_decoding(
     tmp_path, monkeypatch, capsys, command, flag, path
 ):
-    # an output file in a missing directory, or a directory
+    # an output file in a missing directory, a directory, or a file that
+    # names the manifest, the model or the other output
     manifest = write_manifest(tmp_path)
     model = tmp_path / "m.json"
     if command == "eval":
@@ -544,31 +540,21 @@ def test_output_that_cannot_be_opened_exits_2_before_decoding(
         argv += [name, value]
     decoded = []
     monkeypatch.setattr("lumaswitch.cli.load_image", lambda image: decoded.append(image))
-    files = sorted(tmp_path.rglob("*"))
+    files = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
     assert main(argv) == 2
     assert decoded == []
-    assert sorted(tmp_path.rglob("*")) == files
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == files
     assert f"{flag} {bad}" in capsys.readouterr().err
 
 
-def test_rerun_into_same_out_dir_leaves_one_report_line(tmp_path):
-    img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
-    out = tmp_path / "out"
-    for _ in range(2):
-        assert main(["segment", "--out-dir", str(out), img_path]) == 0
-    lines = (out / "report.jsonl").read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["file"] == img_path
-
-
-def test_filter_config_flag_overrides_ranges(tmp_path):
+def test_filter_config_flag_overrides_ranges(tmp_path, capsys):
     cfg = tmp_path / "filter.cfg"
     cfg.write_text("rgb.r.lo = 250\nrgb.g.lo = 0\nrgb.b.lo = 0\n")
     img_path = write_ppm(tmp_path / "patch.ppm", make_patch_image())
     out = tmp_path / "out"
     rc = main(["segment", "--filter-config", str(cfg), "--out-dir", str(out), img_path])
     assert rc == 0
-    rec = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
     # patch red value 180 < 250, so the RGB mask is empty under the override
     assert rec["per_space_sizes"]["RGB"] == 0
     assert rec["filter"]["rgb"]["r"] == [250, 255]
@@ -579,7 +565,7 @@ def test_segment_reproducible(tmp_path):
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        main(["segment", "--out-dir", str(out), "--report", str(out / "r.jsonl"), img_path])
+        main(["segment", "--out-dir", str(out), img_path])
         outs.append(out)
     for fname in ("patch.mask.pgm", "patch.raw.pgm", "patch.overlay.ppm"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
@@ -611,7 +597,7 @@ DEFAULT_FILTER_JSON = (
         ),
     ],
 )
-def test_report_line_bytes_are_pinned(tmp_path, flags, fields):
+def test_report_line_bytes_are_pinned(tmp_path, capsys, flags, fields):
     """Key order, the filter's int/float mix and where stream puts "frame"."""
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -622,6 +608,6 @@ def test_report_line_bytes_are_pinned(tmp_path, flags, fields):
     head = f'{{"file": {json.dumps(img_path)}, {fields}'
     tail = f'"filter": {DEFAULT_FILTER_JSON}}}\n'
     assert main(["segment", *flags, "--out-dir", str(tmp_path / "seg"), img_path]) == 0
-    assert (tmp_path / "seg" / "report.jsonl").read_text() == f"{head}, {tail}"
+    assert capsys.readouterr().out == f"{head}, {tail}"
     assert main(["stream", *flags, "--out-dir", str(tmp_path / "stream"), str(frames)]) == 0
-    assert (tmp_path / "stream" / "report.jsonl").read_text() == f'{head}, "frame": 0, {tail}'
+    assert capsys.readouterr().out == f'{head}, "frame": 0, {tail}'

@@ -3,9 +3,9 @@
 The scenes are made here with numpy alone: three ellipse scenes of bright,
 mid and dark skin with impulse noise, at 320x240 and 640x480, and one
 1920x1080 comb texture with thousands of components.  Each case runs
-``segment`` over all four and pins one sha256 over the report lines and
-every input's mask, raw mask and overlay files.  A change that moves any
-mask bit, blob size, chosen space or report byte changes a digest.
+``segment`` over all four and pins one sha256 over the report lines it
+prints and every input's mask, raw mask and overlay files.  A change that
+moves any mask bit, blob size, chosen space or report byte changes a digest.
 """
 
 import hashlib
@@ -120,8 +120,7 @@ def test_segment_outputs_match_their_digest(corpus, monkeypatch, capsys, case, f
     if FILTERS[filt]:
         flags += ["--filter-config", f"{filt}.cfg"]
     assert main(["segment", *flags, *names]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256((root / out / "report.jsonl").read_bytes())
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
     for name in names:
         stem = name.removesuffix(".ppm")
         for kind in ("mask.pgm", "raw.pgm", "overlay.ppm"):
