@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
 The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
-whose artifacts would overwrite each other, a strategy flag that the
+whose artifacts would overwrite each other, an input that is an artifact
+file the run would overwrite before reading it, a strategy flag that the
 chosen strategy would not read, and a ``train`` or ``eval`` output file
 that cannot be opened or that names an input or another output.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from .switching import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+ARTIFACTS = ("mask.pgm", "raw.pgm", "overlay.ppm")
 
 
 class ConfigError(Exception):
@@ -98,19 +101,53 @@ def _check_output(flag: str, path: str, others: dict[str, str]) -> None:
             raise ConfigError(f"{flag} {path} is also {name}")
 
 
+def _file_id(path):
+    """The (device, inode) that ``path`` names, through symlinks, or None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _check_artifacts(out_dir: Path, entries) -> None:
+    """Every artifact file must be written by one input only, and must not
+    be an input, which it would overwrite.  Only an existing artifact can
+    be an input, so the out-dir is listed once and its artifacts are
+    matched to the inputs by file id."""
+    writers = {}  # artifact stem -> the input that writes it
+    for file, stem, _ in entries:
+        if stem in writers:
+            raise ConfigError(f"inputs {writers[stem]} and {file} share the artifact stem {stem!r}")
+        writers[stem] = file
+    try:
+        present = set(os.listdir(out_dir))
+    except OSError:
+        return  # no out-dir yet
+    names = {f"{stem}.{kind}" for stem in writers for kind in ARTIFACTS} & present
+    written = {_file_id(out_dir / name): out_dir / name for name in names}
+    written.pop(None, None)  # a dangling symlink, which can be no input
+    if not written:
+        return
+    for file in writers.values():
+        if _file_id(file) in written:
+            raise ConfigError(f"input {file} is {written[_file_id(file)]}, an artifact of the run")
+
+
 def _drive(args, entries) -> int:
     """The segment/stream loop over (file, artifact stem, extra report
     fields) entries: load, segment, write artifacts and print one JSON
     report line on stdout.  An input that fails to load, segment or write
     is skipped with no report line and none of its artifact files, and
     makes the exit code 1."""
+    out_dir = Path(args.out_dir)
+    _check_artifacts(out_dir, entries)
     filt, segment = _segmenter(args)
     filter_fields = filt.to_dict()
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
     for file, stem, extra in entries:
-        paths = [out_dir / f"{stem}.{kind}" for kind in ("mask.pgm", "raw.pgm", "overlay.ppm")]
+        paths = [out_dir / f"{stem}.{kind}" for kind in ARTIFACTS]
         try:
             result = segment(load_image(file))
             save_mask(result.mask, paths[0])
@@ -139,13 +176,7 @@ def _drive(args, entries) -> int:
 
 
 def cmd_segment(args) -> int:
-    inputs = {}  # artifact stem -> the input that writes it
-    for p in args.inputs:
-        stem = Path(p).stem
-        if stem in inputs:
-            raise ConfigError(f"inputs {inputs[stem]} and {p} share the artifact stem {stem!r}")
-        inputs[stem] = p
-    return _drive(args, [(p, stem, {}) for stem, p in inputs.items()])
+    return _drive(args, [(p, Path(p).stem, {}) for p in args.inputs])
 
 
 def cmd_stream(args) -> int:

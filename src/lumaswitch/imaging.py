@@ -1,12 +1,11 @@
 """Raster containers and PPM/PGM file I/O.
 
-Images are 8-bit RGB rasters, masks are per-pixel booleans.  The on-disk
-interchange formats are binary PPM (P6) for color images and binary PGM
-(P5) for masks, both with maxval 255; no other format is read.  One codec
-frames both: ``_read_pnm`` and ``_write_pnm`` take the magic number and
-the raster, and the four public load/save functions only choose those.
-``_read_pnm`` parses the header with one pattern, ``_PNM_HEADER``; as in
-netpbm, whitespace (or a '#' comment) must follow the magic.
+Images are 8-bit RGB rasters, masks are per-pixel booleans.  Images are
+read from binary PPM (P6) with maxval 255, and no other format is read.
+Images are written as P6 and masks as binary PGM (P5), both through
+``_write_pnm``.  ``load_image`` parses the header with one pattern,
+``_PNM_HEADER``; as in netpbm, whitespace (or a '#' comment) must follow
+the magic.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ __all__ = [
     "load_image",
     "save_image",
     "save_mask",
-    "load_mask",
     "overlay",
 ]
 
 
 class PnmError(ValueError):
-    """Raised for malformed or truncated PPM/PGM files."""
+    """Raised for malformed or truncated PPM files."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,7 @@ class ImageBuffer:
     def __eq__(self, other):
         if not isinstance(other, ImageBuffer):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
+        return bool(np.array_equal(self.pixels, other.pixels))  # False on a shape mismatch
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,12 @@ class BinaryMask:
 
     def count(self) -> int:
         """Number of set pixels."""
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryMask):
             return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.array_equal(self.bits, other.bits)
-        )
+        return bool(np.array_equal(self.bits, other.bits))  # False on a shape mismatch
 
 
 # After the magic: three numbers (width, height, maxval) of 1 to 9 ASCII
@@ -97,14 +91,14 @@ class BinaryMask:
 _PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*\n)+(\d{1,9})" + rb"\s")
 
 
-def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
-    """The (height, width, depth) uint8 raster of a binary PNM file."""
+def load_image(path: str | os.PathLike) -> ImageBuffer:
+    """Load a binary PPM (P6, maxval 255) image, pixel values as stored."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(magic):
-        raise PnmError(f"{path}: not a {magic.decode()} file")
-    header = _PNM_HEADER.match(data, len(magic))
+    if not data.startswith(b"P6"):
+        raise PnmError(f"{path}: not a P6 file")
+    header = _PNM_HEADER.match(data, 2)
     if header is None:
         raise PnmError(f"{path}: malformed header")
     width, height, maxval = map(int, header.groups())
@@ -112,12 +106,12 @@ def _read_pnm(path: str | os.PathLike, magic: bytes, depth: int) -> np.ndarray:
         raise PnmError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise PnmError(f"{path}: unsupported maxval {maxval} (must be 255)")
-    need = width * height * depth
+    need = width * height * 3
     have = len(data) - header.end()
     if have < need:
         raise PnmError(f"{path}: truncated pixel data ({have} of {need} bytes)")
     pixels = np.frombuffer(data, np.uint8, count=need, offset=header.end())
-    return pixels.reshape(height, width, depth)
+    return ImageBuffer(pixels.reshape(height, width, 3).copy())
 
 
 def _write_pnm(path: str | os.PathLike, magic: bytes, raster: np.ndarray) -> None:
@@ -128,11 +122,6 @@ def _write_pnm(path: str | os.PathLike, magic: bytes, raster: np.ndarray) -> Non
         fh.write(raster.tobytes())
 
 
-def load_image(path: str | os.PathLike) -> ImageBuffer:
-    """Load a binary PPM (P6, maxval 255) image, pixel values as stored."""
-    return ImageBuffer(_read_pnm(path, b"P6", 3).copy())
-
-
 def save_image(image: ImageBuffer, path: str | os.PathLike) -> None:
     """Write a binary PPM (P6, maxval 255)."""
     _write_pnm(path, b"P6", image.pixels)
@@ -141,11 +130,6 @@ def save_image(image: ImageBuffer, path: str | os.PathLike) -> None:
 def save_mask(mask: BinaryMask, path: str | os.PathLike) -> None:
     """Write a binary PGM (P5, maxval 255); true -> 255, false -> 0."""
     _write_pnm(path, b"P5", mask.bits.astype(np.uint8) * 255)
-
-
-def load_mask(path: str | os.PathLike) -> BinaryMask:
-    """Load a binary PGM (P5, maxval 255); nonzero bytes read as true."""
-    return BinaryMask(_read_pnm(path, b"P5", 1)[..., 0] != 0)
 
 
 def overlay(image: ImageBuffer, mask: BinaryMask) -> ImageBuffer:

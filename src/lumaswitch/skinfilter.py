@@ -76,9 +76,6 @@ class ChannelRange:
         if self.lo > self.hi:
             raise ValueError(f"range bounds out of order: lo {self.lo} > hi {self.hi}")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class SkinRangeFilter:
@@ -114,7 +111,7 @@ def _ranges_for(space: ColorSpaceId, filt: SkinRangeFilter):
 
 def classify_pixel(space: ColorSpaceId, pixel: Sequence[float], filt: SkinRangeFilter) -> bool:
     """True iff every constrained channel lies inside its range."""
-    return all(r.contains(float(pixel[i])) for (_, i), r in _ranges_for(space, filt))
+    return all(r.lo <= float(pixel[i]) <= r.hi for (_, i), r in _ranges_for(space, filt))
 
 
 def to_space(image: ImageBuffer, space: ColorSpaceId) -> np.ndarray:

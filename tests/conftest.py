@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,18 @@ def patch_mask():
     bits = np.zeros((64, 64), dtype=bool)
     bits[PATCH_ROWS, PATCH_COLS] = True
     return BinaryMask(bits)
+
+
+def read_mask(path):
+    """A mask artifact read without lumaswitch's own reader: 'P5', then
+    width, height and 255 each after one whitespace byte, then one more
+    whitespace byte and exactly width * height bytes, each 0 or 255."""
+    header = re.fullmatch(rb"P5\s(\d+)\s(\d+)\s255\s(.*)", Path(path).read_bytes(), re.DOTALL)
+    assert header, f"{path}: not a P5 file with maxval 255"
+    width, height, raster = int(header[1]), int(header[2]), header[3]
+    assert len(raster) == width * height, f"{path}: {len(raster)} pixel bytes"
+    assert set(raster) <= {0, 255}, f"{path}: a byte other than 0 or 255"
+    return BinaryMask(np.frombuffer(raster, np.uint8).reshape(height, width) == 255)
 
 
 def random_mask(rng, max_side=32, density=0.5):

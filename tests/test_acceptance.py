@@ -9,7 +9,7 @@ import numpy as np
 from lumaswitch.blobs import label_components, largest_component
 from lumaswitch.cli import main
 from lumaswitch.colorspace import FEATURE_KEYS, rgb_to_hsv, rgb_to_ycbcr
-from lumaswitch.imaging import BinaryMask, ImageBuffer, load_image, load_mask, overlay, save_image
+from lumaswitch.imaging import BinaryMask, ImageBuffer, load_image, overlay, save_image
 from lumaswitch.mlp import (
     MlpModel,
     _forward,
@@ -28,7 +28,14 @@ from lumaswitch.switching import (
     bayesian_routine,
 )
 
-from conftest import NARROW_V, flood_fill_components, make_patch_image, patch_mask, random_mask
+from conftest import (
+    NARROW_V,
+    flood_fill_components,
+    make_patch_image,
+    patch_mask,
+    random_mask,
+    read_mask,
+)
 
 
 class criterion:
@@ -261,10 +268,10 @@ def test_criterion_7_end_to_end_fixture(tmp_path, capsys):
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert rec["blob_size"] == 256
-        mask = load_mask(out / "patch.mask.pgm")
+        mask = read_mask(out / "patch.mask.pgm")
         assert mask.bits.shape == (64, 64)
         assert mask == expected
-        raw = load_mask(out / "patch.raw.pgm")
+        raw = read_mask(out / "patch.raw.pgm")
         assert raw.bits.shape == (64, 64)
         overlay = load_image(out / "patch.overlay.ppm")
         assert overlay.pixels.shape == (64, 64, 3)

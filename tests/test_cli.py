@@ -6,11 +6,11 @@ import pytest
 
 from lumaswitch.cli import main
 from lumaswitch.colorspace import FEATURE_KEYS, feature_vector
-from lumaswitch.imaging import ImageBuffer, load_image, load_mask, save_image
+from lumaswitch.imaging import ImageBuffer, load_image, save_image
 from lumaswitch.mlp import init_model, load_model, save_model
 from lumaswitch.skinfilter import ColorSpaceId, to_space
 
-from conftest import make_image, make_patch_image
+from conftest import make_image, make_patch_image, read_mask
 
 
 def write_ppm(path, image):
@@ -47,10 +47,10 @@ def test_segment_patch_maxconnected(tmp_path, capsys):
     assert rec["per_space_sizes"] == {"RGB": 256, "HSV": 256, "YCbCr": 256}
     assert rec["filter"]["rgb"]["r"] == [95, 255]
 
-    mask = load_mask(out / "patch.mask.pgm")
+    mask = read_mask(out / "patch.mask.pgm")
     assert mask.bits.shape == (64, 64)
     assert mask.count() == 256
-    raw = load_mask(out / "patch.raw.pgm")
+    raw = read_mask(out / "patch.raw.pgm")
     assert raw.count() == 256 + 5
     overlay = load_image(out / "patch.overlay.ppm")
     assert overlay.pixels.shape == (64, 64, 3)
@@ -63,7 +63,7 @@ def test_segment_all_black_image(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["blob_size"] == 0
-    mask = load_mask(out / "black.mask.pgm")
+    mask = read_mask(out / "black.mask.pgm")
     assert mask.bits.shape == (10, 12)
     assert mask.count() == 0
 
@@ -487,6 +487,34 @@ def test_segment_and_stream_write_only_the_three_artifacts(tmp_path, capsys, com
     assert exc.value.code == 2
     assert "--report" in capsys.readouterr().err
     assert not report.exists() and not other.exists()
+
+
+@pytest.mark.parametrize(
+    "command, via", [("segment", "direct"), ("segment", "symlink"), ("stream", "direct")]
+)
+def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(tmp_path, capsys, command, via):
+    # the overlay artifact of d/a.ppm is d/a.overlay.ppm, or, as frame 2
+    # of a stream into its own directory, d/a.frame000002.overlay.ppm
+    d = tmp_path / "d"
+    d.mkdir()
+    write_ppm(d / "a.ppm", make_patch_image())
+    victim = d / ("a.overlay.ppm" if command == "segment" else "a.frame000002.overlay.ppm")
+    write_ppm(victim, make_patch_image(with_salt=True))
+    if command == "stream":
+        write_ppm(d / "0.ppm", make_image(4, 4))
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+    named = victim
+    if via == "symlink":
+        (tmp_path / "links").mkdir()
+        named = tmp_path / "links" / "b.ppm"
+        named.symlink_to(victim)
+    inputs = [str(d / "a.ppm"), str(named)] if command == "segment" else [str(d)]
+    assert main([command, "--out-dir", str(d), *inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(named if command == "segment" else victim) in captured.err
+    assert f"is {victim}," in captured.err
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
 
 
 @pytest.mark.parametrize(

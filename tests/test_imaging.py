@@ -6,11 +6,12 @@ from lumaswitch.imaging import (
     ImageBuffer,
     PnmError,
     load_image,
-    load_mask,
     overlay,
     save_image,
     save_mask,
 )
+
+from conftest import read_mask
 
 
 def test_load_p6_two_pixels(tmp_path):
@@ -109,11 +110,10 @@ def test_pnm_loaders_raise_only_pnm_error(tmp_path):
     @example(b"P6 ", b"9" * 5000 + b" 1 255 ")  # past int()'s digit limit
     def check(header, body):
         path.write_bytes(header + body)
-        for load in (load_image, load_mask):
-            try:
-                load(path)
-            except PnmError:
-                pass
+        try:
+            load_image(path)
+        except PnmError:
+            pass
 
     check()
 
@@ -140,7 +140,7 @@ def test_mask_round_trip_byte_stable(tmp_path):
     mask = BinaryMask(rng.random((11, 5)) < 0.4)
     p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
     save_mask(mask, p1)
-    save_mask(load_mask(p1), p2)
+    save_mask(read_mask(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
