@@ -28,11 +28,12 @@ __all__ = ["ComponentLabeling", "label_components", "largest_component", "denois
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """labels: (h, w) int array, 0 = background, components numbered from 1
-    in row-major first-encounter order; sizes[i] = pixel count of label i+1."""
+    """labels: (h, w) int32 array, 0 = background, components numbered from 1
+    in row-major first-encounter order; sizes: int64 array, sizes[i] = pixel
+    count of label i+1."""
 
     labels: np.ndarray
-    sizes: tuple[int, ...]
+    sizes: np.ndarray
 
     @property
     def count(self) -> int:

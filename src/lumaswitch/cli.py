@@ -12,7 +12,7 @@ The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
 a message that names it.  So do two ``segment`` inputs with one file stem,
 whose artifacts would overwrite each other, an input that is an artifact
-file the run would overwrite before reading it, a strategy flag that the
+file in the out-dir, an out-dir that is a file, a strategy flag that the
 chosen strategy would not read, and a ``train`` or ``eval`` output file
 that cannot be opened or that names an input or another output.
 """
@@ -40,7 +40,7 @@ from .switching import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-ARTIFACTS = ("mask.pgm", "raw.pgm", "overlay.ppm")
+ARTIFACTS = (".mask.pgm", ".raw.pgm", ".overlay.ppm")
 
 
 class ConfigError(Exception):
@@ -111,27 +111,28 @@ def _file_id(path):
 
 
 def _check_artifacts(out_dir: Path, entries) -> None:
-    """Every artifact file must be written by one input only, and must not
-    be an input, which it would overwrite.  Only an existing artifact can
-    be an input, so the out-dir is listed once and its artifacts are
-    matched to the inputs by file id."""
+    """Every artifact file must be written by one input only, and no input
+    may be an artifact file in the out-dir: the run would overwrite it, or
+    segment an earlier run's output as a new image.  The out-dir is listed
+    once and its artifact files are matched to the inputs by file id."""
     writers = {}  # artifact stem -> the input that writes it
     for file, stem, _ in entries:
         if stem in writers:
             raise ConfigError(f"inputs {writers[stem]} and {file} share the artifact stem {stem!r}")
         writers[stem] = file
     try:
-        present = set(os.listdir(out_dir))
-    except OSError:
+        names = [name for name in os.listdir(out_dir) if name.endswith(ARTIFACTS)]
+    except FileNotFoundError:
         return  # no out-dir yet
-    names = {f"{stem}.{kind}" for stem in writers for kind in ARTIFACTS} & present
+    except NotADirectoryError:
+        raise ConfigError(f"--out-dir {out_dir} is not a directory") from None
     written = {_file_id(out_dir / name): out_dir / name for name in names}
     written.pop(None, None)  # a dangling symlink, which can be no input
     if not written:
         return
     for file in writers.values():
         if _file_id(file) in written:
-            raise ConfigError(f"input {file} is {written[_file_id(file)]}, an artifact of the run")
+            raise ConfigError(f"input {file} is {written[_file_id(file)]}, an artifact in --out-dir")
 
 
 def _drive(args, entries) -> int:
@@ -147,7 +148,7 @@ def _drive(args, entries) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
     for file, stem, extra in entries:
-        paths = [out_dir / f"{stem}.{kind}" for kind in ARTIFACTS]
+        paths = [out_dir / f"{stem}{kind}" for kind in ARTIFACTS]
         try:
             result = segment(load_image(file))
             save_mask(result.mask, paths[0])
@@ -163,7 +164,7 @@ def _drive(args, entries) -> int:
         line = json.dumps(
             {
                 "file": file,
-                "strategy": result.strategy,
+                "strategy": args.strategy,
                 "chosen": result.chosen,
                 "blob_size": result.blob_size,
                 "per_space_sizes": result.per_space_sizes,

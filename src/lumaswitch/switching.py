@@ -2,8 +2,8 @@
 
 Pipeline per space: range filter -> 3x3 majority denoise -> largest
 8-connected blob, on the image's ``to_space`` planes, converted once per
-image and space.  Each strategy decides; one builder, ``_result``,
-renders the overlay of the mask it returns onto the original image.
+image and space.  Each strategy returns the run it chose, its decision
+and the overlay of its mask, rendered by one builder, ``_result``.
 
 Strategies:
   * ann:          a trained network picks the space from the 9 channel
@@ -48,22 +48,18 @@ class RoutineOutput:
     """Artifacts of one per-space pipeline run, or of sigmaconnect's
     combined vote over the three runs."""
 
-    raw_mask: BinaryMask  # filter output (or its vote), pre-denoise
+    raw_mask: BinaryMask  # filter output (or its vote at vote_threshold), pre-denoise
     mask: BinaryMask  # largest blob only
     blob_size: int
 
 
 @dataclass(frozen=True)
-class SegmentationResult:
-    strategy: str  # "ann" | "maxconnected" | "sigmaconnect"
+class SegmentationResult(RoutineOutput):
+    """The run a strategy chose (sigmaconnect's combined one), with its decision."""
+
     chosen: str  # "RGB" | "HSV" | "YCbCr" | "Combined"
-    mask: BinaryMask
-    blob_size: int
+    per_space_sizes: dict[str, int]  # blob size of every space that ran
     overlay: ImageBuffer
-    per_space_sizes: dict[str, int]
-    # pre-denoise filter output of the chosen space; for sigmaconnect, the
-    # same vote_threshold vote taken over the three spaces' filter outputs
-    raw_mask: BinaryMask
 
 
 def bayesian_routine(
@@ -76,18 +72,23 @@ def bayesian_routine(
     return RoutineOutput(raw_mask=raw, mask=blob, blob_size=size)
 
 
+def _every_space(image: ImageBuffer, filt: SkinRangeFilter) -> tuple[dict, dict[str, int]]:
+    """The pipeline run in each space, and each space's blob size by label."""
+    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
+    return runs, {s.label: runs[s].blob_size for s in ColorSpaceId}
+
+
+def _vote(masks, threshold: int) -> BinaryMask:
+    """The pixels set in at least ``threshold`` of ``masks``."""
+    return BinaryMask(sum(m.bits.astype(np.int8) for m in masks) >= threshold)
+
+
 def _result(
-    strategy: str, chosen: str, image: ImageBuffer, run: RoutineOutput, sizes: dict[str, int]
+    chosen: str, image: ImageBuffer, run: RoutineOutput, sizes: dict[str, int]
 ) -> SegmentationResult:
     """The strategy's decision, with the overlay of its mask rendered."""
     return SegmentationResult(
-        strategy=strategy,
-        chosen=chosen,
-        mask=run.mask,
-        blob_size=run.blob_size,
-        overlay=overlay(image, run.mask),
-        per_space_sizes=sizes,
-        raw_mask=run.raw_mask,
+        **vars(run), chosen=chosen, per_space_sizes=sizes, overlay=overlay(image, run.mask)
     )
 
 
@@ -98,17 +99,16 @@ def algorithm1_ann_switch(
     planes = [to_space(image, s) for s in ColorSpaceId]
     chosen = predict_space(model, feature_vector(planes))
     run = bayesian_routine(planes[chosen], chosen, filt)
-    return _result("ann", chosen.label, image, run, {chosen.label: run.blob_size})
+    return _result(chosen.label, image, run, {chosen.label: run.blob_size})
 
 
 def algorithm2_max_connected(
     image: ImageBuffer, filt: SkinRangeFilter
 ) -> SegmentationResult:
     """All three spaces; the one with the biggest blob wins."""
-    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
+    runs, sizes = _every_space(image, filt)
     chosen = max(ColorSpaceId, key=lambda s: (runs[s].blob_size, -int(s)))
-    sizes = {s.label: runs[s].blob_size for s in ColorSpaceId}
-    return _result("maxconnected", chosen.label, image, runs[chosen], sizes)
+    return _result(chosen.label, image, runs[chosen], sizes)
 
 
 def algorithm3_sigma_connect(
@@ -119,11 +119,7 @@ def algorithm3_sigma_connect(
     for agreement between spaces."""
     if vote_threshold not in (1, 2, 3):
         raise ValueError(f"vote_threshold must be 1, 2 or 3, got {vote_threshold}")
-    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
-    votes = sum(runs[s].mask.bits.astype(np.int8) for s in ColorSpaceId)
-    combined = BinaryMask(votes >= vote_threshold)
-    blob, size = largest_component(combined)
-    raw_votes = sum(runs[s].raw_mask.bits.astype(np.int8) for s in ColorSpaceId)
-    run = RoutineOutput(BinaryMask(raw_votes >= vote_threshold), blob, size)
-    sizes = {s.label: runs[s].blob_size for s in ColorSpaceId}
-    return _result("sigmaconnect", COMBINED, image, run, sizes)
+    runs, sizes = _every_space(image, filt)
+    blob, size = largest_component(_vote([r.mask for r in runs.values()], vote_threshold))
+    raw = _vote([r.raw_mask for r in runs.values()], vote_threshold)
+    return _result(COMBINED, image, RoutineOutput(raw, blob, size), sizes)

@@ -490,17 +490,24 @@ def test_segment_and_stream_write_only_the_three_artifacts(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
-    "command, via", [("segment", "direct"), ("segment", "symlink"), ("stream", "direct")]
+    "command, via",
+    [("segment", "direct"), ("segment", "symlink"), ("stream", "direct"), ("stream", "rerun")],
 )
 def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(tmp_path, capsys, command, via):
     # the overlay artifact of d/a.ppm is d/a.overlay.ppm, or, as frame 2
-    # of a stream into its own directory, d/a.frame000002.overlay.ppm
+    # of a stream into its own directory, d/a.frame000002.overlay.ppm; a
+    # rerun of that stream would read its first run's overlay as a frame
     d = tmp_path / "d"
     d.mkdir()
     write_ppm(d / "a.ppm", make_patch_image())
-    victim = d / ("a.overlay.ppm" if command == "segment" else "a.frame000002.overlay.ppm")
-    write_ppm(victim, make_patch_image(with_salt=True))
-    if command == "stream":
+    if via == "rerun":
+        assert main(["stream", "--out-dir", str(d), str(d)]) == 0
+        capsys.readouterr()
+        victim = d / "a.frame000000.overlay.ppm"
+    else:
+        victim = d / ("a.overlay.ppm" if command == "segment" else "a.frame000002.overlay.ppm")
+        write_ppm(victim, make_patch_image(with_salt=True))
+    if via == "direct" and command == "stream":
         write_ppm(d / "0.ppm", make_image(4, 4))
     before = {p.name: p.read_bytes() for p in d.iterdir()}
     named = victim
@@ -515,6 +522,21 @@ def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(tmp_path, capsys,
     assert str(named if command == "segment" else victim) in captured.err
     assert f"is {victim}," in captured.err
     assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["segment", "stream"])
+def test_out_dir_that_is_a_file_exits_2_before_any_read(tmp_path, capsys, command):
+    frames, paths = stream_frames(tmp_path)
+    out = tmp_path / "out"
+    out.write_bytes(b"a file")
+    missing = tmp_path / "missing.cfg"  # the out-dir is checked before the filter is read
+    inputs = paths if command == "segment" else [str(frames)]
+    assert main([command, "--filter-config", str(missing), "--out-dir", str(out), *inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --out-dir {out} is not a directory" in captured.err
+    assert str(missing) not in captured.err
+    assert out.read_bytes() == b"a file"
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_every_strategy_matches_the_scalar_reference():
                 result = algorithm2_max_connected(image, filt)
             else:
                 result = algorithm3_sigma_connect(image, filt, vote_threshold=t)
-            assert (result.strategy, result.chosen) == (strategy, chosen)
+            assert result.chosen == chosen
             assert result.raw_mask == BinaryMask(raw)
             assert result.mask == BinaryMask(blob)
             assert result.blob_size == size
