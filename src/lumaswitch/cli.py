@@ -10,11 +10,11 @@ Subcommands:
 Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
 The filter config and the manifest are UTF-8 text read through one helper,
 ``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
-a message that names it.  So do two ``segment`` inputs with one file stem,
-whose artifacts would overwrite each other, an input that is an artifact
-file in the out-dir, an out-dir that is a file, a strategy flag that the
-chosen strategy would not read, and a ``train`` or ``eval`` output file
-that cannot be opened or that names an input or another output.
+a message that names it.  So does, through ``_check_files``, a file the run
+writes that is, by (device, inode), a file it reads or another it writes;
+and two ``segment`` inputs with one file stem, an out-dir that is a file, a
+strategy flag that the chosen strategy would not read, and a ``train`` or
+``eval`` output that is a directory or in none.
 """
 
 from __future__ import annotations
@@ -87,34 +87,32 @@ def _segmenter(args):
     return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
-def _check_output(flag: str, path: str, others: dict[str, str]) -> None:
-    """An output file must be in an existing directory, and be neither a
-    directory nor one of ``others``, the inputs and other outputs by name.
-    Checked before any input is read or output made, so it leaves nothing."""
-    target = Path(path).resolve()
-    if target.is_dir():
-        raise ConfigError(f"{flag} {path} is a directory")
-    if not target.parent.is_dir():
-        raise ConfigError(f"{flag} {path}: no directory {Path(path).parent}")
-    for name, other in others.items():
-        if Path(other).resolve() == target:
-            raise ConfigError(f"{flag} {path} is also {name}")
+def _check_files(reads, writes) -> None:
+    """No file the run writes may be a file it reads or another it writes.
+    ``reads`` and ``writes`` are (description, path) pairs; two paths are
+    one file by (device, inode), through symlinks, or, when not there yet,
+    by resolved name.  With nothing to write, no file is stat'ed."""
+    if not writes:
+        return
+    written = {}  # file -> the description of the write that names it
+    for n, (what, path) in enumerate([*writes, *reads]):
+        try:
+            st = os.stat(path)
+            key = st.st_dev, st.st_ino
+        except OSError:
+            key = os.path.realpath(path)
+        if key in written:
+            raise ConfigError(f"{what} is {written[key]}")
+        if n < len(writes):
+            written[key] = what
 
 
-def _file_id(path):
-    """The (device, inode) that ``path`` names, through symlinks, or None."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return st.st_dev, st.st_ino
-
-
-def _check_artifacts(out_dir: Path, entries) -> None:
-    """Every artifact file must be written by one input only, and no input
-    may be an artifact file in the out-dir: the run would overwrite it, or
-    segment an earlier run's output as a new image.  The out-dir is listed
-    once and its artifact files are matched to the inputs by file id."""
+def _check_artifacts(args, entries) -> None:
+    """Every artifact file must be written by one input only, and no file
+    the run reads (an input, the filter config or the model) may be an
+    artifact file in the out-dir: the run would overwrite it, or segment
+    an earlier run's output as a new image.  The out-dir is listed once."""
+    out_dir = Path(args.out_dir)
     writers = {}  # artifact stem -> the input that writes it
     for file, stem, _ in entries:
         if stem in writers:
@@ -126,13 +124,11 @@ def _check_artifacts(out_dir: Path, entries) -> None:
         return  # no out-dir yet
     except NotADirectoryError:
         raise ConfigError(f"--out-dir {out_dir} is not a directory") from None
-    written = {_file_id(out_dir / name): out_dir / name for name in names}
-    written.pop(None, None)  # a dangling symlink, which can be no input
-    if not written:
-        return
-    for file in writers.values():
-        if _file_id(file) in written:
-            raise ConfigError(f"input {file} is {written[_file_id(file)]}, an artifact in --out-dir")
+    reads = [("--filter-config", args.filter_config), ("--model", args.model)]
+    reads = [(f"{flag} {path}", path) for flag, path in reads if path]
+    reads += [(f"input {file}", file) for file in writers.values()]
+    writes = [(f"{out_dir / name}, an artifact in --out-dir", out_dir / name) for name in names]
+    _check_files(reads, writes)
 
 
 def _drive(args, entries) -> int:
@@ -142,7 +138,7 @@ def _drive(args, entries) -> int:
     is skipped with no report line and none of its artifact files, and
     makes the exit code 1."""
     out_dir = Path(args.out_dir)
-    _check_artifacts(out_dir, entries)
+    _check_artifacts(args, entries)
     filt, segment = _segmenter(args)
     filter_fields = filt.to_dict()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,6 +204,24 @@ def _parse_manifest(text: str) -> list[tuple[str, ColorSpaceId]]:
     return entries
 
 
+def _read_manifest(args, reads, outputs) -> list[tuple[str, ColorSpaceId]]:
+    """The manifest's (image, label) entries, parsed (no image decoded)
+    before each set (flag, path) of ``outputs`` is checked: it must be in a
+    directory, not be one, and be no file the run reads or writes."""
+    entries = _read_config(args.manifest, _parse_manifest)
+    outputs = [(flag, path) for flag, path in outputs if path]
+    for flag, path in outputs:
+        target = Path(path).resolve()
+        if target.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"{flag} {path}: no directory {Path(path).parent}")
+    images = [(f"image {image} in the manifest", image) for image, _ in entries]
+    reads = [*reads, (f"the manifest {args.manifest}", args.manifest), *images]
+    _check_files(reads, [(f"{flag} {path}", path) for flag, path in outputs])
+    return entries
+
+
 def _manifest_features(entries) -> list[tuple]:
     rows = []
     for image_path, space in entries:
@@ -225,11 +239,8 @@ def cmd_train(args) -> int:
         cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    inputs = {"the manifest": args.manifest}
-    _check_output("--model", args.model, inputs)
-    if args.loss_csv:
-        _check_output("--loss-csv", args.loss_csv, {**inputs, "--model": args.model})
-    rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
+    outputs = [("--model", args.model), ("--loss-csv", args.loss_csv)]
+    rows = _manifest_features(_read_manifest(args, [], outputs))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
     mlp.save_model(result.model, args.model)
     if args.loss_csv:
@@ -246,11 +257,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.report:
-        others = {"the manifest": args.manifest, "--model": args.model}
-        _check_output("--report", args.report, others)
+    reads = [(f"--model {args.model}", args.model)]
+    entries = _read_manifest(args, reads, [("--report", args.report)])
     model = _load_model(args.model)
-    rows = _manifest_features(_read_config(args.manifest, _parse_manifest))
+    rows = _manifest_features(entries)
     confusion = np.zeros((3, 3), dtype=int)
     records = []
     for image_path, features, true_space in rows:

@@ -224,10 +224,16 @@ def load_model(path: str | os.PathLike) -> MlpModel:
         except ValueError as exc:  # invalid JSON, or bytes that are not ASCII
             raise ValueError(f"{os.fspath(path)}: malformed model file: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version is not None and type(version) is not int:  # true, 1.0 or "1"
+        raise ValueError(
+            f"{os.fspath(path)}: malformed model file: format_version {version!r} is not an integer"
+        )
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{os.fspath(path)}: unsupported model format_version {version!r}")
     try:
-        hidden = int(doc["hidden_count"])
+        hidden = doc["hidden_count"]
+        if type(hidden) is not int:  # 3.9 or "3", which int() would take as 3
+            raise TypeError(f"hidden_count {hidden!r} is not an integer")
         model = MlpModel(
             w1=doc["w1"],
             b1=doc["b1"],

@@ -345,7 +345,16 @@ def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "field, value", [("b1", [0.0, 0.0]), ("shift", math.nan), ("shift", math.inf), ("shift", -math.inf)]
+    "field, value",
+    [
+        ("b1", [0.0, 0.0]),
+        ("shift", math.nan),
+        ("shift", math.inf),
+        ("shift", -math.inf),
+        ("hidden_count", 3.9),
+        ("hidden_count", "3"),
+        ("format_version", True),
+    ],
 )
 def test_invalid_model_values_exit_2_naming_the_file(tmp_path, capsys, field, value):
     path = tmp_path / "invalid.json"
@@ -491,19 +500,38 @@ def test_segment_and_stream_write_only_the_three_artifacts(tmp_path, capsys, com
 
 @pytest.mark.parametrize(
     "command, via",
-    [("segment", "direct"), ("segment", "symlink"), ("stream", "direct"), ("stream", "rerun")],
+    [
+        ("segment", "direct"),
+        ("segment", "symlink"),
+        ("stream", "direct"),
+        ("stream", "rerun"),
+        ("segment", "--filter-config"),
+        ("segment", "--model"),
+    ],
 )
-def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(tmp_path, capsys, command, via):
+def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(
+    tmp_path, monkeypatch, capsys, command, via
+):
     # the overlay artifact of d/a.ppm is d/a.overlay.ppm, or, as frame 2
     # of a stream into its own directory, d/a.frame000002.overlay.ppm; a
-    # rerun of that stream would read its first run's overlay as a frame
+    # rerun of that stream would read its first run's overlay as a frame.
+    # A filter config or model that is an artifact is an input as well.
     d = tmp_path / "d"
     d.mkdir()
     write_ppm(d / "a.ppm", make_patch_image())
+    flags = []
     if via == "rerun":
         assert main(["stream", "--out-dir", str(d), str(d)]) == 0
         capsys.readouterr()
         victim = d / "a.frame000000.overlay.ppm"
+    elif via == "--filter-config":
+        victim = d / "a.mask.pgm"
+        victim.write_text("rgb.r.lo = 80\n")
+        flags = [via, str(victim)]
+    elif via == "--model":
+        victim = d / "a.overlay.ppm"
+        save_model(init_model(3, seed=0), victim)
+        flags = ["--strategy", "ann", via, str(victim)]
     else:
         victim = d / ("a.overlay.ppm" if command == "segment" else "a.frame000002.overlay.ppm")
         write_ppm(victim, make_patch_image(with_salt=True))
@@ -516,7 +544,12 @@ def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(tmp_path, capsys,
         named = tmp_path / "links" / "b.ppm"
         named.symlink_to(victim)
     inputs = [str(d / "a.ppm"), str(named)] if command == "segment" else [str(d)]
+    if flags:
+        inputs = [*flags, str(d / "a.ppm")]
+    decoded = []
+    monkeypatch.setattr("lumaswitch.cli.load_image", lambda image: decoded.append(image))
     assert main([command, "--out-dir", str(d), *inputs]) == 2
+    assert decoded == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(named if command == "segment" else victim) in captured.err
@@ -573,18 +606,32 @@ def test_train_bad_hyperparameter_exits_2_before_decoding(
         ("train", "--loss-csv", "manifest.txt"),
         ("eval", "--report", "manifest.txt"),
         ("eval", "--report", "m.json"),
+        ("train", "--model", "man2.txt"),
+        ("train", "--model", "rgb_0.ppm"),
+        ("train", "--loss-csv", "hsv_1.ppm"),
+        ("eval", "--report", "ycbcr_2.ppm"),
+        ("train", "--model", "link.ppm"),
+        ("eval", "--report", "link.ppm"),
+        ("train", "--loss-csv", "m2.json"),
+        ("eval", "--report", "m2.json"),
     ],
 )
 def test_output_that_cannot_be_opened_exits_2_before_decoding(
     tmp_path, monkeypatch, capsys, command, flag, path
 ):
     # an output file in a missing directory, a directory, or a file that
-    # names the manifest, the model or the other output
+    # is the manifest, the model, the other output or an image the manifest
+    # lists, by name, through a symlink (link.ppm) or a hard link (man2.txt
+    # to the manifest, m2.json to an existing model)
     manifest = write_manifest(tmp_path)
     model = tmp_path / "m.json"
-    if command == "eval":
+    if command == "eval" or path == "m2.json":
         save_model(init_model(3, seed=0), model)
     bad = tmp_path / path
+    if path in ("man2.txt", "m2.json"):
+        bad.hardlink_to(manifest if path == "man2.txt" else model)
+    if path == "link.ppm":
+        bad.symlink_to(tmp_path / "rgb_5.ppm")
     argv = [command, str(manifest)]
     for name, value in {"--model": str(model), flag: str(bad)}.items():
         argv += [name, value]
