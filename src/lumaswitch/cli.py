@@ -8,13 +8,13 @@ Subcommands:
   stream   process a directory of frames in lexicographic order
 
 Exit codes: 0 success, 1 runtime failure on some input, 2 bad configuration.
-The filter config and the manifest are UTF-8 text read through one helper,
-``_read_config``: a file that cannot be read, decoded or parsed exits 2 with
-a message that names it.  So does, through ``_check_files``, a file the run
-writes that is, by (device, inode), a file it reads or another it writes;
-and two ``segment`` inputs with one file stem, an out-dir that is a file, a
-strategy flag that the chosen strategy would not read, and a ``train`` or
-``eval`` output that is a directory or in none.
+A filter config, manifest, listed image or model that cannot be read,
+decoded or parsed exits 2 through one helper, ``_config_error``, with a
+message that names it.  So does, through ``_check_files``, a file the run
+writes that is a directory, in none, cannot be looked up, or is, by
+(device, inode), a file it reads or another it writes; and two ``segment``
+inputs with one file stem, an out-dir that is a file or cannot be listed,
+and a strategy flag that the chosen strategy would not read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +49,14 @@ class ConfigError(Exception):
     """Invalid command-line or file configuration (exit code 2)."""
 
 
-def _read_config(path: str, parse):
-    """``parse`` applied to the UTF-8 text of a config file; a file that
-    cannot be read, decoded or parsed is a ConfigError naming the path."""
+@contextmanager
+def _config_error(prefix: str = ""):
+    """An OSError or ValueError raised in the block, such as a file that
+    cannot be read or parsed, is a ConfigError: ``prefix`` and its message."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        yield
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_model(path: str):
-    try:
-        return mlp.load_model(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _segmenter(args):
@@ -77,33 +73,45 @@ def _segmenter(args):
         raise ConfigError("--model is required with --strategy ann")
     filt = default_filter()
     if args.filter_config:
-        filt = _read_config(args.filter_config, parse_filter_config)
+        with _config_error(f"{args.filter_config}: "):
+            filt = parse_filter_config(Path(args.filter_config).read_text(encoding="utf-8"))
     if args.strategy == "maxconnected":
         return filt, lambda image: algorithm2_max_connected(image, filt)
     if args.strategy == "sigmaconnect":
         threshold = args.vote_threshold or 1
         return filt, lambda image: algorithm3_sigma_connect(image, filt, vote_threshold=threshold)
-    model = _load_model(args.model)
+    with _config_error():
+        model = mlp.load_model(args.model)
     return filt, lambda image: algorithm1_ann_switch(image, model, filt)
 
 
 def _check_files(reads, writes) -> None:
-    """No file the run writes may be a file it reads or another it writes.
-    ``reads`` and ``writes`` are (description, path) pairs; two paths are
-    one file by (device, inode), through symlinks, or, when not there yet,
-    by resolved name.  With nothing to write, no file is stat'ed."""
+    """Each file the run writes must be a file that can be looked up (a
+    symlink loop cannot) or not there yet in a directory, and no file it
+    reads or another it writes.  ``reads`` and ``writes`` are (description,
+    path) pairs, each stat'ed once; two paths are one file by (device,
+    inode), through symlinks, or, when not there yet, by resolved name.
+    With nothing to write, no file is stat'ed."""
     if not writes:
         return
     written = {}  # file -> the description of the write that names it
     for n, (what, path) in enumerate([*writes, *reads]):
+        is_write = n < len(writes)
         try:
             st = os.stat(path)
-            key = st.st_dev, st.st_ino
-        except OSError:
+        except OSError as exc:
+            if is_write and not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+                raise ConfigError(f"{what}: {exc.strerror}") from None
             key = os.path.realpath(path)
+            if is_write and not os.path.isdir(os.path.dirname(key)):
+                raise ConfigError(f"{what}: no directory {Path(path).parent}") from None
+        else:
+            if is_write and stat.S_ISDIR(st.st_mode):
+                raise ConfigError(f"{what} is a directory")
+            key = st.st_dev, st.st_ino
         if key in written:
             raise ConfigError(f"{what} is {written[key]}")
-        if n < len(writes):
+        if is_write:
             written[key] = what
 
 
@@ -124,10 +132,13 @@ def _check_artifacts(args, entries) -> None:
         return  # no out-dir yet
     except NotADirectoryError:
         raise ConfigError(f"--out-dir {out_dir} is not a directory") from None
+    except OSError as exc:  # such as a symlink loop
+        raise ConfigError(f"--out-dir {out_dir}: {exc.strerror}") from None
     reads = [("--filter-config", args.filter_config), ("--model", args.model)]
     reads = [(f"{flag} {path}", path) for flag, path in reads if path]
     reads += [(f"input {file}", file) for file in writers.values()]
-    writes = [(f"{out_dir / name}, an artifact in --out-dir", out_dir / name) for name in names]
+    paths = [out_dir / name for name in names]  # a directory or a loop is no artifact file
+    writes = [(f"{path}, an artifact in --out-dir", path) for path in paths if path.is_file()]
     _check_files(reads, writes)
 
 
@@ -188,57 +199,42 @@ def cmd_stream(args) -> int:
     return status
 
 
-def _parse_manifest(text: str) -> list[tuple[str, ColorSpaceId]]:
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            image_path, label = line.rsplit(None, 1)
-            entries.append((image_path, ColorSpaceId.parse(label)))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected '<image> <label>', got {line!r}") from None
-    if not entries:
-        raise ValueError("empty manifest")
-    return entries
-
-
 def _read_manifest(args, reads, outputs) -> list[tuple[str, ColorSpaceId]]:
     """The manifest's (image, label) entries, parsed (no image decoded)
-    before each set (flag, path) of ``outputs`` is checked: it must be in a
-    directory, not be one, and be no file the run reads or writes."""
-    entries = _read_config(args.manifest, _parse_manifest)
-    outputs = [(flag, path) for flag, path in outputs if path]
-    for flag, path in outputs:
-        target = Path(path).resolve()
-        if target.is_dir():
-            raise ConfigError(f"{flag} {path} is a directory")
-        if not target.parent.is_dir():
-            raise ConfigError(f"{flag} {path}: no directory {Path(path).parent}")
+    before each set (flag, path) of ``outputs`` is checked by ``_check_files``."""
+    entries = []
+    with _config_error(f"{args.manifest}: "):
+        text = Path(args.manifest).read_text(encoding="utf-8")
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                image_path, label = line.rsplit(None, 1)
+                entries.append((image_path, ColorSpaceId.parse(label)))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected '<image> <label>', got {line!r}") from None
+        if not entries:
+            raise ValueError("empty manifest")
     images = [(f"image {image} in the manifest", image) for image, _ in entries]
     reads = [*reads, (f"the manifest {args.manifest}", args.manifest), *images]
-    _check_files(reads, [(f"{flag} {path}", path) for flag, path in outputs])
+    _check_files(reads, [(f"{flag} {path}", path) for flag, path in outputs if path])
     return entries
 
 
 def _manifest_features(entries) -> list[tuple]:
     rows = []
     for image_path, space in entries:
-        try:
+        with _config_error(f"cannot read image {image_path}: "):
             image = load_image(image_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read image {image_path}: {exc}") from exc
         planes = [to_space(image, s) for s in ColorSpaceId]
         rows.append((image_path, feature_vector(planes), space))
     return rows
 
 
 def cmd_train(args) -> int:
-    try:
+    with _config_error():
         cfg = mlp.TrainConfig(args.learning_rate, args.epochs, args.hidden, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     outputs = [("--model", args.model), ("--loss-csv", args.loss_csv)]
     rows = _manifest_features(_read_manifest(args, [], outputs))
     result = mlp.train([(f, s) for _, f, s in rows], cfg)
@@ -259,7 +255,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     reads = [(f"--model {args.model}", args.model)]
     entries = _read_manifest(args, reads, [("--report", args.report)])
-    model = _load_model(args.model)
+    with _config_error():
+        model = mlp.load_model(args.model)
     rows = _manifest_features(entries)
     confusion = np.zeros((3, 3), dtype=int)
     records = []

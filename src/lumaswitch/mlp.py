@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.hidden_count < 1:
             raise ValueError("hidden_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -324,15 +324,24 @@ def test_input_that_fails_to_load_leaves_no_artifacts(tmp_path, capsys):
     assert f"skipping {image}: " in captured.err
 
 
-@pytest.mark.parametrize("blocked", ["mask.pgm", "raw.pgm", "overlay.ppm"])
+@pytest.mark.parametrize(
+    "blocked, loop",
+    [("mask.pgm", False), ("raw.pgm", False), ("overlay.ppm", False), ("raw.pgm", True)],
+    ids=["mask.pgm", "raw.pgm", "overlay.ppm", "raw.pgm-loop"],
+)
 @pytest.mark.parametrize("command", ["segment", "stream"])
-def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command, blocked):
+def test_artifact_write_failure_skips_only_that_input(tmp_path, capsys, command, blocked, loop):
     frames, paths = stream_frames(tmp_path)
     out = tmp_path / "out"
     stems = ["f000", "f001", "f002"]
     if command == "stream":
         stems = [f"{stem}.frame{i:06d}" for i, stem in enumerate(stems)]
-    (out / f"{stems[1]}.{blocked}").mkdir(parents=True)  # the second input cannot be written
+    blocker = out / f"{stems[1]}.{blocked}"  # the second input cannot be written
+    if loop:
+        out.mkdir()
+        blocker.symlink_to(blocker.name)  # a symlink to itself
+    else:
+        blocker.mkdir(parents=True)
     inputs = paths if command == "segment" else [str(frames)]
     assert main([command, "--out-dir", str(out), *inputs]) == 1
     captured = capsys.readouterr()
@@ -557,19 +566,28 @@ def test_input_that_is_an_artifact_exits_2_and_stays_unchanged(
     assert {p.name: p.read_bytes() for p in d.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["segment", "stream"])
-def test_out_dir_that_is_a_file_exits_2_before_any_read(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, loop",
+    [("segment", False), ("stream", False), ("segment", True), ("stream", True)],
+    ids=["segment", "stream", "segment-loop", "stream-loop"],
+)
+def test_out_dir_that_is_a_file_exits_2_before_any_read(tmp_path, capsys, command, loop):
     frames, paths = stream_frames(tmp_path)
     out = tmp_path / "out"
-    out.write_bytes(b"a file")
+    if loop:  # out -> out2 -> out, which cannot be listed
+        out.symlink_to("out2")
+        (tmp_path / "out2").symlink_to("out")
+    else:
+        out.write_bytes(b"a file")
     missing = tmp_path / "missing.cfg"  # the out-dir is checked before the filter is read
     inputs = paths if command == "segment" else [str(frames)]
     assert main([command, "--filter-config", str(missing), "--out-dir", str(out), *inputs]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: --out-dir {out} is not a directory" in captured.err
+    error = f"{out}: Too many levels of symbolic links" if loop else f"{out} is not a directory"
+    assert f"error: --out-dir {error}" in captured.err
     assert str(missing) not in captured.err
-    assert out.read_bytes() == b"a file"
+    assert loop or out.read_bytes() == b"a file"
 
 
 @pytest.mark.parametrize(
@@ -579,6 +597,7 @@ def test_out_dir_that_is_a_file_exits_2_before_any_read(tmp_path, capsys, comman
         ("--hidden", "0", "hidden_count"),
         ("--learning-rate", "nan", "learning_rate"),
         ("--learning-rate", "inf", "learning_rate"),
+        ("--seed", "-1", "seed"),
     ],
 )
 def test_train_bad_hyperparameter_exits_2_before_decoding(
@@ -614,15 +633,19 @@ def test_train_bad_hyperparameter_exits_2_before_decoding(
         ("eval", "--report", "link.ppm"),
         ("train", "--loss-csv", "m2.json"),
         ("eval", "--report", "m2.json"),
+        ("train", "--model", "loop"),
+        ("train", "--loss-csv", "loop"),
+        ("eval", "--report", "loop"),
     ],
 )
 def test_output_that_cannot_be_opened_exits_2_before_decoding(
     tmp_path, monkeypatch, capsys, command, flag, path
 ):
-    # an output file in a missing directory, a directory, or a file that
-    # is the manifest, the model, the other output or an image the manifest
-    # lists, by name, through a symlink (link.ppm) or a hard link (man2.txt
-    # to the manifest, m2.json to an existing model)
+    # an output file in a missing directory, a directory, a symlink loop
+    # (loop -> loop.json -> loop), or a file that is the manifest, the
+    # model, the other output or an image the manifest lists, by name,
+    # through a symlink (link.ppm) or a hard link (man2.txt to the
+    # manifest, m2.json to an existing model)
     manifest = write_manifest(tmp_path)
     model = tmp_path / "m.json"
     if command == "eval" or path == "m2.json":
@@ -632,6 +655,9 @@ def test_output_that_cannot_be_opened_exits_2_before_decoding(
         bad.hardlink_to(manifest if path == "man2.txt" else model)
     if path == "link.ppm":
         bad.symlink_to(tmp_path / "rgb_5.ppm")
+    if path == "loop":
+        bad.symlink_to("loop.json")
+        (tmp_path / "loop.json").symlink_to("loop")
     argv = [command, str(manifest)]
     for name, value in {"--model": str(model), flag: str(bad)}.items():
         argv += [name, value]
