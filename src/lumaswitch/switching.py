@@ -1,9 +1,11 @@
 """The segmentation pipeline and the three color-space switching strategies.
 
 Pipeline per space: range filter -> 3x3 majority denoise -> largest
-8-connected blob, on the image's ``to_space`` planes, converted once per
-image and space.  Each strategy returns the run it chose, its decision
-and the overlay of its mask, rendered by one builder, ``_result``.
+8-connected blob, on the image's ``to_space`` planes.  ann converts each
+space once per image; maxconnected and sigmaconnect test all three spaces
+on the image's one uint8 RGB copy, through the filter's interval tables.
+Each strategy returns the run it chose, its decision and the overlay of
+its mask, rendered by one builder, ``_result``.
 
 Strategies:
   * ann:          a trained network picks the space from the 9 channel
@@ -65,7 +67,8 @@ class SegmentationResult(RoutineOutput):
 def bayesian_routine(
     planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter
 ) -> RoutineOutput:
-    """Full per-space pipeline on ``to_space`` planes; an empty blob is a valid result."""
+    """Full per-space pipeline on the planes of ``space`` or on uint8 RGB
+    planes (``apply_filter``); an empty blob is a valid result."""
     raw = apply_filter(planes, space, filt)
     cleaned = denoise(raw)
     blob, size = largest_component(cleaned)
@@ -74,7 +77,8 @@ def bayesian_routine(
 
 def _every_space(image: ImageBuffer, filt: SkinRangeFilter) -> tuple[dict, dict[str, int]]:
     """The pipeline run in each space, and each space's blob size by label."""
-    runs = {s: bayesian_routine(to_space(image, s), s, filt) for s in ColorSpaceId}
+    rgb = to_space(image, ColorSpaceId.RGB)  # the filter's tables classify every space from it
+    runs = {s: bayesian_routine(rgb, s, filt) for s in ColorSpaceId}
     return runs, {s.label: runs[s].blob_size for s in ColorSpaceId}
 
 

@@ -8,9 +8,10 @@ from lumaswitch.cli import main
 from lumaswitch.colorspace import FEATURE_KEYS, feature_vector
 from lumaswitch.imaging import ImageBuffer, load_image, save_image
 from lumaswitch.mlp import init_model, load_model, save_model
+from lumaswitch import skinfilter
 from lumaswitch.skinfilter import ColorSpaceId, to_space
 
-from conftest import make_image, make_patch_image, read_mask
+from conftest import SKIN, make_image, make_patch_image, read_mask
 
 
 def write_ppm(path, image):
@@ -216,6 +217,54 @@ def test_stream_directory(tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [l["frame"] for l in lines] == [0, 1, 2]
     assert {l["blob_size"] for l in lines} == {256}
+
+
+def count_conversions(monkeypatch) -> dict:
+    """Count the HSV and YCbCr conversions, which run through ``to_space``."""
+    calls = dict(image_to_hsv=0, image_to_ycbcr=0)
+    for name in calls:
+        convert = getattr(skinfilter, name)
+
+        def counted(image, name=name, convert=convert):
+            calls[name] += 1
+            return convert(image)
+
+        monkeypatch.setattr(skinfilter, name, counted)
+    return calls
+
+
+def test_stream_ann_converts_each_frame_once_and_builds_no_table(tmp_path, monkeypatch, capsys):
+    # ann's features need every pixel's HSV and YCbCr value: one conversion
+    # each per frame, and no interval table on top of them
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_ppm(frames / "f0.ppm", make_patch_image())
+    write_ppm(frames / "f1.ppm", make_patch_image(with_salt=True))
+    model = tmp_path / "model.json"
+    save_model(init_model(3, seed=0), model)
+    calls = count_conversions(monkeypatch)
+    args = ["stream", "--strategy", "ann", "--model", str(model), "--out-dir", str(tmp_path / "o")]
+    assert main([*args, str(frames)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == {"image_to_hsv": 2, "image_to_ycbcr": 2}
+
+
+@pytest.mark.parametrize("strategy", ["maxconnected", "sigmaconnect"])
+def test_table_strategies_convert_per_run_not_per_image(tmp_path, monkeypatch, capsys, strategy):
+    # the filter's tables are built once per run, and every image is then
+    # classified from its RGB bytes
+    images = [make_patch_image(), make_patch_image(with_salt=True), make_image(8, 8, SKIN)]
+    paths = [write_ppm(tmp_path / f"i{k}.ppm", image) for k, image in enumerate(images)]
+    calls = count_conversions(monkeypatch)
+    counts = []
+    for inputs in (paths[:1], paths):
+        calls.update(image_to_hsv=0, image_to_ycbcr=0)
+        out = tmp_path / f"out{len(inputs)}"
+        assert main(["segment", "--strategy", strategy, "--out-dir", str(out), *inputs]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(inputs)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert min(counts[0].values()) > 0  # the build runs through the converters
 
 
 def test_stream_empty_directory(tmp_path, capsys):

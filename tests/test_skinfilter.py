@@ -143,6 +143,7 @@ def test_apply_filter_is_pixelwise():
             )
         filters.append(SkinRangeFilter(**ranges))
 
+    rgb_planes = to_space(image, ColorSpaceId.RGB)
     for space in ColorSpaceId:
         planes = to_space(image, space)
         for f in filters:
@@ -150,6 +151,81 @@ def test_apply_filter_is_pixelwise():
             expected = [classify_pixel(space, px, f) for px in scalar[space]]
             assert mask.bits.ravel().tolist() == expected
             assert 0 < mask.count() or f is filters[0]
+            # the same test from the RGB bytes, through the filter's tables
+            assert apply_filter(rgb_planes, space, f).bits.ravel().tolist() == expected
+
+
+inf, nan = float("inf"), float("nan")
+BOUNDS = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
+# bounds just off an integer, out of [0, 255], infinite, nan, and empty ranges
+BOUNDS += [(151.0001, 255), (0, 151.0001), (150.9999, 151.0001), (-3, 300), (-3, -3)]
+BOUNDS += [(300, 300), (254.5, 255), (0, 254.5), (-inf, inf), (-inf, -inf), (inf, inf)]
+BOUNDS += [(-inf, 94.5), (94.5, inf), (255.5, 255.5), (-0.5, -0.5), (nan, 200), (0, nan)]
+
+
+@pytest.fixture(scope="module")
+def bound_filters():
+    """The default filter, then one filter per BOUNDS entry and space that
+    puts it on every channel the space constrains; HSV also takes it
+    divided by 255, into its [0, 1] domain.  Built once, so each builds its
+    tables once."""
+    filters = [(space, default_filter()) for space in (ColorSpaceId.HSV, ColorSpaceId.YCBCR)]
+    for lo, hi in BOUNDS:
+        for space, scale in ((ColorSpaceId.HSV, 1), (ColorSpaceId.HSV, 255), (ColorSpaceId.YCBCR, 1)):
+            field = space.name.lower()
+            n = len(getattr(default_filter(), field))
+            ranges = (ChannelRange(lo / scale, hi / scale),) * n
+            filters.append((space, replace(default_filter(), **{field: ranges})))
+    return filters
+
+
+@pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640)])
+def test_uint8_rgb_planes_equal_float_planes_in_hsv_and_ycbcr(shape, bound_filters):
+    # the interval tables give every pixel the float test's answer, at the
+    # bounds of BOUNDS; 480x640 spans several lookup blocks and a partial one
+    rng = np.random.default_rng(shape[1])
+    image = ImageBuffer(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+    rgb = to_space(image, ColorSpaceId.RGB)
+    floats = {space: to_space(image, space) for space in (ColorSpaceId.HSV, ColorSpaceId.YCBCR)}
+    for space, f in bound_filters:
+        assert apply_filter(rgb, space, f) == apply_filter(floats[space], space, f)
+
+
+def test_tables_match_the_float_test_on_random_filters():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # bounds are channel values of the sampled colours, so inclusive ends
+    # are hit exactly, nudged by an ulp-sized step or replaced by a special
+    rng = np.random.default_rng(31)
+    image = ImageBuffer(rng.integers(0, 256, (1, 4096, 3), dtype=np.uint8))
+    rgb = to_space(image, ColorSpaceId.RGB)
+    floats = {space: to_space(image, space) for space in (ColorSpaceId.HSV, ColorSpaceId.YCBCR)}
+    pick = st.tuples(st.integers(0, 4095), st.sampled_from([0.0, 1e-12, -1e-12, 0.5, -0.5]))
+    special = st.sampled_from([None, -inf, inf, nan, -1.0, 300.0])
+
+    def bound(space, channel, draw):
+        (index, nudge), other = draw
+        if other is not None:
+            return other
+        return float(floats[space][channel, 0, index]) + nudge * (255 if space == ColorSpaceId.YCBCR else 1)
+
+    channel_bounds = st.tuples(st.tuples(pick, special), st.tuples(pick, special))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[channel_bounds] * 3), st.tuples(*[channel_bounds] * 2))
+    def check(hsv, ycc):
+        ranges = {}
+        for space, draws, channels in ((ColorSpaceId.HSV, hsv, (0, 1, 2)), (ColorSpaceId.YCBCR, ycc, (1, 2))):
+            pairs = [sorted([bound(space, c, a), bound(space, c, b)], key=lambda v: (v != v, v))
+                     for c, (a, b) in zip(channels, draws)]
+            # a nan sorts last and makes no out-of-order pair
+            ranges[space.name.lower()] = tuple(ChannelRange(*pair) for pair in pairs)
+        f = SkinRangeFilter(rgb=default_filter().rgb, **ranges)
+        for space, planes in floats.items():
+            assert apply_filter(rgb, space, f) == apply_filter(planes, space, f)
+
+    check()
 
 
 @pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640), (1080, 1920)])
@@ -170,13 +246,7 @@ def test_uint8_rgb_planes_equal_float64_copy(shape):
     strided = [p[..., i].mean() for p in interleaved for i in range(3)]
     assert feature_vector(planes).tobytes() == np.array(strided).tobytes()
 
-    bounds = [(95, 255), (0, 255), (94, 94), (94.5, 94.5)]
-    # bounds just off an integer, out of [0, 255], infinite, nan, and empty ranges
-    inf, nan = float("inf"), float("nan")
-    bounds += [(151.0001, 255), (0, 151.0001), (150.9999, 151.0001), (-3, 300), (-3, -3)]
-    bounds += [(300, 300), (254.5, 255), (0, 254.5), (-inf, inf), (-inf, -inf), (inf, inf)]
-    bounds += [(-inf, 94.5), (94.5, inf), (255.5, 255.5), (-0.5, -0.5), (nan, 200), (0, nan)]
-    bounds += [sorted(rng.uniform(0, 255, 2)) for _ in range(4)]
+    bounds = BOUNDS + [sorted(rng.uniform(0, 255, 2)) for _ in range(4)]
     filters = [default_filter()]
     filters += [replace(default_filter(), rgb=(ChannelRange(lo, hi),) * 3) for lo, hi in bounds]
     rgb = ColorSpaceId.RGB
