@@ -11,8 +11,8 @@ which looks each pixel up in the filter's table, with ``apply_filter`` on
 its ``to_space`` float planes, in HSV and in YCbCr.  The filters are the
 default, the benchmark's ``rgb.r.lo = 150``, one that admits every value,
 and one with fractional bounds.  It prints one line per filter and space
-with its mismatch count and the seconds its table took to build, and exits
-1 if any count is not 0.
+with its mismatch count and the median seconds of five builds of its
+table, each on a new filter object, and exits 1 if any count is not 0.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from lumaswitch.imaging import ImageBuffer
 from lumaswitch.skinfilter import ColorSpaceId, apply_filter, parse_filter_config, to_space
 
 REDS_PER_CHUNK = 16
+BUILDS = 5  # table builds timed per filter and space
 
 FILTERS = {
     "default": "",
@@ -47,12 +48,16 @@ def main() -> int:
     start = time.perf_counter()
     filters = {name: parse_filter_config(text) for name, text in FILTERS.items()}
     built = {}
-    for name, filt in filters.items():
+    for name, text in FILTERS.items():
         for space in SPACES:
-            # the first lookup builds the table
-            tick = time.perf_counter()
-            apply_filter(np.zeros((3, 1, 1), np.uint8), space, filt)
-            built[name, space] = time.perf_counter() - tick
+            # the first lookup of a new filter object builds its table
+            seconds = []
+            for _ in range(BUILDS):
+                filt = parse_filter_config(text)
+                tick = time.perf_counter()
+                apply_filter(np.zeros((3, 1, 1), np.uint8), space, filt)
+                seconds.append(time.perf_counter() - tick)
+            built[name, space] = float(np.median(seconds))
     mismatches = dict.fromkeys(built, 0)
     axes = (np.arange(REDS_PER_CHUNK), np.arange(256), np.arange(256))
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 256, 3)
@@ -66,7 +71,8 @@ def main() -> int:
                 by_float = apply_filter(planes, space, filt).bits
                 mismatches[name, space] += int(np.count_nonzero(by_table != by_float))
     for (name, space), count in mismatches.items():
-        print(f"{name}, {space.label}: {count} mismatches (table built in {built[name, space]:.3f} s)")
+        took = f"table built in {built[name, space]:.3f} s, median of {BUILDS}"
+        print(f"{name}, {space.label}: {count} mismatches ({took})")
     seconds = time.perf_counter() - start
     if any(mismatches.values()):
         print(f"interval tables differ from the float test ({seconds:.1f} s)")

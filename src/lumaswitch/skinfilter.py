@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -173,20 +173,17 @@ def apply_filter(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter)
 
 # interval tables ---------------------------------------------------------------
 #
-# Once a key of the RGB bytes is fixed, a space's skin set is one interval
-# of the remaining byte x:
+# Once a key of the RGB bytes is fixed, every constrained channel is
+# monotone in the remaining byte x, so a space's skin set is one interval
+# of x:
 #   * YCbCr: the key is (r, g) and x is b.  Cb never falls and Cr never
 #     rises as b grows.
 #   * HSV: the key is (the order code of ``_hsv_code``, max, min) and x is
-#     the middle byte.  Max and min fix S and V, and within a key the hue
-#     is monotone in x.
-# Three more facts let whole sets of keys go unprobed: S falls as min
-# grows for a fixed max; the hues of one HSV code lie between those of its
-# two end colours with max 255 and min 0; and Cb never rises and Cr never
-# falls as r grows.
-# A table holds each key's interval as lo | hi << 8 in one uint16, so a
-# lookup is one ``take``.  It is built from ``to_space`` of synthetic colours
-# and the float test's comparisons alone, so the converters stay the only
+#     the middle byte.  Max and min fix S and V, and the hue is monotone in x.
+# ``_intervals`` finds each key's interval by bisection from that fact
+# alone.  A table holds it as lo | hi << 8 in one uint16, so a lookup is one
+# ``take``.  It is built from ``to_space`` of synthetic colours and the
+# float test's comparisons alone, so the converters stay the only
 # definition of a colour's value; checks/interval_tables.py compares the
 # tables with ``apply_filter(to_space(...))`` on all 2^24 colours.
 
@@ -200,9 +197,18 @@ _TABLE_BLOCK = 1 << 16
 # little-endian uint32, whose bytes then read r, g, b, 0
 _PACKED = np.dtype("<u4")
 
-# (max, min) channel of each order code; the middle channel is the third.
-# Codes 1 and 6 need r >= g >= b > r or the reverse, so they never occur.
-_HSV_ROLES = {0b111: (0, 2), 0b101: (0, 1), 0b011: (1, 2), 0b010: (1, 0), 0b100: (2, 1), 0b000: (2, 0)}
+# per order code: its max and min channel (the middle one is the third),
+# the hue's direction in the middle byte, and whether a middle byte equal
+# to min or to max gives another code.  Codes 1 and 6 need r >= g >= b > r
+# or the reverse, so they never occur.
+_HSV_ROLES = {
+    0b111: (0, 2, 1, 0, 0),
+    0b101: (0, 1, -1, 1, 0),
+    0b011: (1, 2, -1, 0, 1),
+    0b010: (1, 0, 1, 1, 0),
+    0b100: (2, 1, 1, 0, 1),
+    0b000: (2, 0, -1, 1, 1),
+}
 
 
 def _hsv_code(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,63 +254,53 @@ def _packed_image(colours: np.ndarray) -> ImageBuffer:
     return ImageBuffer(packed.view(np.uint8).reshape(*colours.shape, 4)[..., :3])
 
 
-def _intervals(space, filt, base, step, x0, x1, offset, slope) -> np.ndarray:
+def _intervals(space, filt, base, step, x0, x1, way) -> np.ndarray:
     """For each key k, the bytes x in [x0[k], x1[k]] at which the colour
     ``base[k] + step * x`` (packed as in ``_packed_image``) passes ``filt``
     in ``space``, as table entries.
 
-    ``offset + slope * x`` guesses each constrained channel of each key at
-    x, and the sign of every key's slope is the channel's direction in x
-    (0: constant).  So each comparison holds on a suffix of the bytes, on a
-    prefix, or on all or none, and the interval is [L, H]: L is the first
-    byte at which every suffix test holds (S), H the last at which every
-    prefix test holds (P).  Both are interpolated from the guesses, checked
-    with the converter at L - 1, L, H and H + 1, and walked until the checks
-    hold: one ``to_space`` call per round, for the keys not yet settled.
+    ``way`` is each constrained channel's direction in x: 1 rising, -1
+    falling, 0 constant.  So c >= lo holds on a suffix of the bytes when c
+    rises and on a prefix when it falls, c <= hi the reverse, and a
+    constant comparison holds on all bytes or none.  The interval is
+    [L, H]: L is the first byte at which every suffix test holds (S), H
+    the last at which every prefix test holds (P); a constant test is in
+    both.  One probe drops the keys whose S fails at x1 or whose P fails
+    at x0, and then both bounds of every other key are bisected in
+    lockstep: one ``to_space`` call per round, 8 rounds for 256 bytes.
     """
     ranges = list(_ranges_for(space, filt))
-    # per channel: +1 rising in x, -1 falling, 0 constant.  So c >= lo holds
-    # on a suffix (S) when c rises, on a prefix (P) when it falls, and a
-    # constant comparison holds on all bytes or none: it joins S and P.
-    way = np.sign(slope.sum(axis=1))
-    first, last = np.full(len(x0), -np.inf), np.full(len(x0), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for (_, r), w, a, b in zip(ranges, way, offset, slope):
-            if w:
-                at_lo, at_hi = (r.lo - a) / b, (r.hi - a) / b
-                first = np.maximum(first, np.ceil(at_lo if w > 0 else at_hi))
-                last = np.minimum(last, np.floor(at_hi if w > 0 else at_lo))
-    # fmin and fmax drop a nan, so a nan bound, which fails every
-    # comparison, guesses "never": L = x1 + 1, H = x0 - 1
-    ls = np.maximum(np.fmin(first, x1 + 1), x0).astype(np.int16)
-    hp = np.minimum(np.fmax(last, x0 - 1), x1).astype(np.int16)
-    entry = np.full(len(x0), _EMPTY, np.uint16)
-    keys = np.flatnonzero(x0 <= x1)
-    ls, hp, lo, hi, base = ls[keys], hp[keys], x0[keys], x1[keys], base[keys]
-    while keys.size:
-        # S fails at L - 1 and holds at L; P holds at H and fails at H + 1.
-        # A byte outside [x0, x1] is not asked, and probed at the nearer end.
-        xs = np.stack([ls - 1, ls, hp, hp + 1])
-        ask = np.stack([ls > lo, ls <= hi, hp >= lo, hp < hi])
-        np.clip(xs, lo, hi, out=xs)
+
+    def held(base, xs):
+        """S at the bytes xs[0] and P at xs[1] of the keys of ``base``."""
         planes = to_space(_packed_image(base + xs.astype(_PACKED) * step), space)
-        s, p = ask.copy(), ask.copy()  # an unasked byte reads as failing both
+        out = np.ones(xs.shape, bool)
+        s, p = out
         for ((_, i), r), w in zip(ranges, way):
-            for held, rising in ((planes[i] >= r.lo, w), (planes[i] <= r.hi, -w)):
-                if rising >= 0:
-                    s &= held
-                if rising <= 0:
-                    p &= held
-        down_s, up_s = s[0], ask[1] & ~s[1]
-        down_p, up_p = ask[2] & ~p[2], p[3]
-        ls += up_s.view(np.int8) - down_s.view(np.int8)
-        hp += up_p.view(np.int8) - down_p.view(np.int8)
-        # a byte at which S and P both fail lies between H and L
-        empty = (ask & ~s & ~p).any(axis=0)
-        done = empty | ~(down_s | up_s | down_p | up_p)
-        full = done & ~empty & (ls <= hp)
-        entry[keys[full]] = ls[full].astype(np.uint16) | hp[full].astype(np.uint16) << 8
-        keys, ls, hp, lo, hi, base = (a[~done] for a in (keys, ls, hp, lo, hi, base))
+            at_s, at_p = planes[i]
+            if w >= 0:
+                s &= at_s >= r.lo
+                p &= at_p <= r.hi
+            if w <= 0:
+                s &= at_s <= r.hi
+                p &= at_p >= r.lo
+        return out
+
+    entry = np.full(len(base), _EMPTY, np.uint16)
+    keys = np.flatnonzero(x0 <= x1)
+    keys = keys[held(base[keys], np.stack([x1[keys], x0[keys]])).all(axis=0)]
+    base, x0, x1 = base[keys], x0[keys], x1[keys]
+    # row 0 searches x for L and row 1 searches -x for -H: each looks for
+    # the first value at which its test holds, as it does at hi after the
+    # probe.  A settled search probes its answer again and stays.
+    lo, hi = np.stack([x0, -x1]), np.stack([x1, -x0])
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = held(base, np.abs(mid))  # the bytes: mid[0] and -mid[1]
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    first, last = hi[0], -hi[1]
+    entry[keys] = np.where(first <= last, first | last << 8, _EMPTY)
     return entry
 
 
@@ -312,89 +308,30 @@ def _hsv_intervals(filt: SkinRangeFilter) -> np.ndarray:
     """The HSV table of ``filt``, keyed on code << 16 | max << 8 | min."""
     hsv = ColorSpaceId.HSV
     table = np.full(8 << 16, _EMPTY, np.uint16)
-    # the (max, min) pairs whose S and V pass: the (max, x, x) colours give
-    # each max its interval of min, as S falls with x at about 1 - x / max
-    top = np.arange(256)
-    any_hue = replace(filt, hsv=(ChannelRange(-math.inf, math.inf), *filt.hsv[1:]))
-    zero = np.zeros(256)
-    guess = np.stack([zero, 1 + zero, zero]), np.stack([zero, -1.0 / np.maximum(top, 1), zero])
-    x0, x1 = np.zeros(256, np.int16), top.astype(np.int16)
-    pairs = _intervals(hsv, any_hue, top.astype(_PACKED), 0x10100, x0, x1, *guess)
-    mx, mn = _spans(pairs)
-    # per code: its (max, min, middle) channel, and whether a middle byte
-    # equal to min or max gives another code, seen with max 2 and min 0
-    roles = []
-    for code, (high, low) in _HSV_ROLES.items():
-        mid = 3 - high - low
-        tie = np.zeros((2, 3), np.uint8)
-        tie[:, high], tie[:, mid] = 2, (0, 2)
-        roles.append((code, high, low, mid, *(_hsv_code(*tie.T) != code)))
-    # with max 255 and min 0: each code's two end bytes, whose hues bound
-    # every hue of the code, and x = 85, 170, which fit its hue as about
-    # alpha + beta * (x - min) / (max - min)
-    wide = np.array([
-        [255 << 8 * high | x << 8 * mid for x in (open_lo, 85, 170, 255 - open_hi)]
-        for _, high, _, mid, open_lo, open_hi in roles
+    mn, mx = np.triu_indices(256)  # every pair with max >= min
+    # each code's two end colours, with max 255 and min 0, whose hues bound
+    # every hue of the code: a code whose hues all miss the band is skipped
+    ends = np.array([
+        [255 << 8 * high | x << 8 * (3 - high - low) for x in (open_lo, 255 - open_hi)]
+        for high, low, _, open_lo, open_hi in _HSV_ROLES.values()
     ], _PACKED)
-    hues = to_space(_packed_image(wide), hsv)[0]
-    zero = np.zeros(mx.size)
-    for (code, high, low, mid, open_lo, open_hi), hue in zip(roles, hues):
-        if not (filt.hsv[0].lo <= hue[[0, 3]].max() and hue[[0, 3]].min() <= filt.hsv[0].hi):
-            continue  # no hue of this code passes
-        beta = 3 * (hue[2] - hue[1])
-        hue_slope = beta / np.maximum(mx - mn, 1)  # max = min: one byte, any guess will do
-        offset = np.stack([hue[1] - beta / 3 - hue_slope * mn, zero, zero])
-        base = (mx << 8 * high | mn << 8 * low).astype(_PACKED)
-        x0, x1 = (mn + open_lo).astype(np.int16), (mx - open_hi).astype(np.int16)
-        guess = offset, np.stack([hue_slope, zero, zero])
-        table[code << 16 | mx << 8 | mn] = _intervals(hsv, filt, base, 1 << 8 * mid, x0, x1, *guess)
+    hues = to_space(_packed_image(ends), hsv)[0]
+    band = filt.hsv[0]
+    for (code, (high, low, way, open_lo, open_hi)), hue in zip(_HSV_ROLES.items(), hues):
+        if band.lo <= hue.max() and hue.min() <= band.hi:
+            base = (mx << 8 * high | mn << 8 * low).astype(_PACKED)
+            step = 1 << 8 * (3 - high - low)  # x is the middle channel
+            entries = _intervals(hsv, filt, base, step, mn + open_lo, mx - open_hi, (way, 0, 0))
+            table[code << 16 | mx << 8 | mn] = entries
     return table
 
 
 def _ycbcr_intervals(filt: SkinRangeFilter) -> np.ndarray:
     """The YCbCr table of ``filt``, keyed on r << 8 | g."""
-    ycc = ColorSpaceId.YCBCR
-    table = np.full(1 << 16, _EMPTY, np.uint16)
-    byte = np.arange(256)
-    # Cb and Cr are affine in r, g and b inside their clamp: fit them there
-    fit = np.array([[[64, 64, 64], [192, 64, 64], [64, 192, 64], [64, 64, 192]]], np.uint8)
-    cbcr = to_space(ImageBuffer(fit), ycc)[1:, 0]
-    dr, dg, db = ((cbcr[:, 1:] - cbcr[:, :1]) / 128).T[..., None]
-
-    def at(r, g, b):  # the guessed Cb and Cr
-        return cbcr[:, :1] + dr * (r - 64) + dg * (g - 64) + db * (b - 64)
-
-    # Cb never rises and Cr never falls as r grows, too.  So, for each g,
-    # the keys whose P (Cb <= hi, Cr >= lo) fails at b = 0 are a prefix of
-    # r, and those whose S (Cb >= lo, Cr <= hi) fails at b = 255 a suffix:
-    # neither holds a colour.  The rest is a band [r0(g), r1(g)].
-    (cb_lo, cb_hi), (cr_lo, cr_hi) = ((r.lo, r.hi) for r in filt.ycbcr)
-    inf = math.inf
-    zero = np.zeros(256, np.int16)
-    band = []
-    for b, cb, cr in ((0, (-inf, cb_hi), (cr_lo, inf)), (255, (cb_lo, inf), (-inf, cr_hi))):
-        half = replace(filt, ycbcr=(ChannelRange(*cb), ChannelRange(*cr)))
-        rows = (byte << 8 | b << 16).astype(_PACKED)
-        band.append(_intervals(ycc, half, rows, 1, zero, zero + 255, at(0, byte, b), dr))
-    g, r = _spans(_intersect(*band))
-    zero = np.zeros(r.size, np.int16)
-    keys = (r | g << 8).astype(_PACKED)
-    table[r << 8 | g] = _intervals(ycc, filt, keys, 1 << 16, zero, zero + 255, at(r, g, 0), db)
-    return table
-
-
-def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The entries of the intervals in both ``a`` and ``b``."""
-    lo, hi = np.maximum(a & 0xFF, b & 0xFF), np.minimum(a >> 8, b >> 8)
-    return np.where(lo <= hi, lo | hi << 8, np.uint16(_EMPTY))
-
-
-def _spans(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, x) for every byte x in the interval of ``entries[i]``, by i."""
-    lo, hi = (entries & 0xFF).astype(np.intp), (entries >> 8).astype(np.intp)
-    count = np.maximum(hi - lo + 1, 0)
-    i = np.repeat(np.arange(entries.size), count)
-    return i, np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    key = np.arange(1 << 16)
+    base = (key >> 8 | (key & 0xFF) << 8).astype(_PACKED)  # the colour r | g << 8
+    x0 = np.zeros_like(key)
+    return _intervals(ColorSpaceId.YCBCR, filt, base, 1 << 16, x0, x0 + 255, (1, -1))
 
 
 # configuration ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -226,6 +227,39 @@ def test_tables_match_the_float_test_on_random_filters():
             assert apply_filter(rgb, space, f) == apply_filter(planes, space, f)
 
     check()
+
+
+# sha256 of the HSV and YCbCr tables' little-endian bytes: every key, also
+# those no sampled colour reaches.  The configs are checks/interval_tables.py's.
+TABLE_DIGESTS = {
+    "": (
+        "863864fb9a3410d923047b042d0e234fe319280a9e8028cb7ff776d19c514b97",
+        "f07fbd2ce5ccc274241d4851bc3e928baaf3eaefd79a611a7b9fd419a7b2c5bd",
+    ),
+    (
+        "hsv.h.lo = 0.3333\nhsv.h.hi = 0.9001\nhsv.s.lo = 0.05\nhsv.s.hi = 0.777\n"
+        "hsv.v.lo = 0.2\nhsv.v.hi = 0.95\n"
+        "ycbcr.cb.lo = 77.25\nycbcr.cb.hi = 180.5\nycbcr.cr.lo = 100.75\nycbcr.cr.hi = 150.125\n"
+    ): (
+        "e2e0607c56b309c29ed1affbdeb60538a1ca83543f25166b35882792296b09b2",
+        "e0945ba43bf030d2b0da266e36f9a50101fcf9caa1ae999ab63c98e6a5f26e87",
+    ),
+    (
+        "hsv.h.lo = 0\nhsv.h.hi = 1\nhsv.s.lo = 0\nhsv.s.hi = 1\nhsv.v.lo = 0\nhsv.v.hi = 1\n"
+        "ycbcr.cb.lo = 0\nycbcr.cb.hi = 255\nycbcr.cr.lo = 0\nycbcr.cr.hi = 255\n"
+    ): (
+        "6e94d829666eff5ede7b253ce2c0184504018a439403e5803c92bfaa43b29ccd",
+        "36c9c5cb50315284782606f7eeb5214ac6dd3ef3bb861847a9e97a90fe6dc8c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", TABLE_DIGESTS, ids=["default", "fractional", "full range"])
+def test_interval_tables_are_pinned(text):
+    filt = parse_filter_config(text)
+    tables = filt._hsv_table, filt._ycbcr_table
+    digests = tuple(hashlib.sha256(t.astype("<u2").tobytes()).hexdigest() for t in tables)
+    assert digests == TABLE_DIGESTS[text]
 
 
 @pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640), (1080, 1920)])
