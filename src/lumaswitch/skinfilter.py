@@ -17,19 +17,19 @@ they are called; the range test, the report's ``filter`` object and the
 
 ``apply_filter`` takes the planes of one space as ``to_space`` gives them,
 or the image's uint8 RGB planes in any space.  From the RGB bytes it tests
-HSV and YCbCr by the filter's exact interval tables, which each filter
-object builds on first use, once, from ``to_space`` and the float test
-itself.  So maxconnected and sigmaconnect classify all three spaces from
-one RGB copy, and float planes serve ann (its features and its chosen
-space), the features of ``train`` and ``eval``, and the table build.
+HSV and YCbCr by exact interval tables, built from ``to_space`` and the
+float test itself once per process for each value of a space's ranges,
+and shared read-only.  So maxconnected and sigmaconnect classify all three
+spaces from one RGB copy, and float planes serve ann (its features and its
+chosen space), the features of ``train`` and ``eval``, and the table build.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -102,16 +102,6 @@ class SkinRangeFilter:
             space.name.lower(): {c: [r.lo, r.hi] for (c, _), r in _ranges_for(space, self)}
             for space in ColorSpaceId
         }
-
-    # built on first use, once per filter object: apply_filter's lookup
-    # tables for uint8 RGB planes (see "interval tables" below)
-    @cached_property
-    def _hsv_table(self) -> np.ndarray:
-        return _hsv_intervals(self)
-
-    @cached_property
-    def _ycbcr_table(self) -> np.ndarray:
-        return _ycbcr_intervals(self)
 
 
 def default_filter() -> SkinRangeFilter:
@@ -222,7 +212,7 @@ def _hsv_code(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _table_test(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) -> np.ndarray:
     """``space``'s range test of uint8 RGB planes, by the filter's table."""
-    table = filt._hsv_table if space == ColorSpaceId.HSV else filt._ycbcr_table
+    table = _table(space, getattr(filt, space.name.lower()))
     flat = planes.reshape(3, -1)
     bits = np.empty(flat.shape[1], bool)
     for start in range(0, flat.shape[1], _TABLE_BLOCK):
@@ -248,16 +238,26 @@ def _table_test(planes: np.ndarray, space: ColorSpaceId, filt: SkinRangeFilter) 
     return bits.reshape(planes.shape[1:])
 
 
+@functools.lru_cache(maxsize=8)  # at most 8 MB: an HSV table is 1 MB
+def _table(space: ColorSpaceId, bounds: tuple[ChannelRange, ...]) -> np.ndarray:
+    """The table of ``space`` under ``bounds``, a filter's ``hsv`` or ``ycbcr``
+    ranges: built once per process for each value of them, and shared
+    read-only by every filter whose ranges compare equal."""
+    table = _hsv_intervals(bounds) if space == ColorSpaceId.HSV else _ycbcr_intervals(bounds)
+    table.flags.writeable = False
+    return table
+
+
 def _packed_image(colours: np.ndarray) -> ImageBuffer:
     """The image of (rows, n) packed ``colours``: (rows, n) pixels."""
     packed = colours.astype(_PACKED, copy=False)  # a copy only where uint32 is big-endian
     return ImageBuffer(packed.view(np.uint8).reshape(*colours.shape, 4)[..., :3])
 
 
-def _intervals(space, filt, base, step, x0, x1, way) -> np.ndarray:
+def _intervals(space, bounds, base, step, x0, x1, way) -> np.ndarray:
     """For each key k, the bytes x in [x0[k], x1[k]] at which the colour
-    ``base[k] + step * x`` (packed as in ``_packed_image``) passes ``filt``
-    in ``space``, as table entries.
+    ``base[k] + step * x`` (packed as in ``_packed_image``) passes ``space``'s
+    ranges ``bounds``, as table entries.
 
     ``way`` is each constrained channel's direction in x: 1 rising, -1
     falling, 0 constant.  So c >= lo holds on a suffix of the bytes when c
@@ -269,7 +269,7 @@ def _intervals(space, filt, base, step, x0, x1, way) -> np.ndarray:
     at x0, and then both bounds of every other key are bisected in
     lockstep: one ``to_space`` call per round, 8 rounds for 256 bytes.
     """
-    ranges = list(_ranges_for(space, filt))
+    ranges = list(zip(_CHANNELS[space], bounds))
 
     def held(base, xs):
         """S at the bytes xs[0] and P at xs[1] of the keys of ``base``."""
@@ -304,8 +304,8 @@ def _intervals(space, filt, base, step, x0, x1, way) -> np.ndarray:
     return entry
 
 
-def _hsv_intervals(filt: SkinRangeFilter) -> np.ndarray:
-    """The HSV table of ``filt``, keyed on code << 16 | max << 8 | min."""
+def _hsv_intervals(bounds: tuple[ChannelRange, ...]) -> np.ndarray:
+    """The HSV table of ``bounds``, keyed on code << 16 | max << 8 | min."""
     hsv = ColorSpaceId.HSV
     table = np.full(8 << 16, _EMPTY, np.uint16)
     mn, mx = np.triu_indices(256)  # every pair with max >= min
@@ -316,22 +316,22 @@ def _hsv_intervals(filt: SkinRangeFilter) -> np.ndarray:
         for high, low, _, open_lo, open_hi in _HSV_ROLES.values()
     ], _PACKED)
     hues = to_space(_packed_image(ends), hsv)[0]
-    band = filt.hsv[0]
+    band = bounds[0]
     for (code, (high, low, way, open_lo, open_hi)), hue in zip(_HSV_ROLES.items(), hues):
         if band.lo <= hue.max() and hue.min() <= band.hi:
             base = (mx << 8 * high | mn << 8 * low).astype(_PACKED)
             step = 1 << 8 * (3 - high - low)  # x is the middle channel
-            entries = _intervals(hsv, filt, base, step, mn + open_lo, mx - open_hi, (way, 0, 0))
+            entries = _intervals(hsv, bounds, base, step, mn + open_lo, mx - open_hi, (way, 0, 0))
             table[code << 16 | mx << 8 | mn] = entries
     return table
 
 
-def _ycbcr_intervals(filt: SkinRangeFilter) -> np.ndarray:
-    """The YCbCr table of ``filt``, keyed on r << 8 | g."""
+def _ycbcr_intervals(bounds: tuple[ChannelRange, ...]) -> np.ndarray:
+    """The YCbCr table of ``bounds``, keyed on r << 8 | g."""
     key = np.arange(1 << 16)
     base = (key >> 8 | (key & 0xFF) << 8).astype(_PACKED)  # the colour r | g << 8
     x0 = np.zeros_like(key)
-    return _intervals(ColorSpaceId.YCBCR, filt, base, 1 << 16, x0, x0 + 255, (1, -1))
+    return _intervals(ColorSpaceId.YCBCR, bounds, base, 1 << 16, x0, x0 + 255, (1, -1))
 
 
 # configuration ---------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lumaswitch import skinfilter
 from lumaswitch.imaging import BinaryMask, ImageBuffer
 
 SKIN = (180, 120, 100)  # passes all three default filters
@@ -12,6 +13,26 @@ PATCH_COLS = slice(20, 36)
 SALT_POSITIONS = [(2, 2), (2, 60), (60, 2), (60, 60), (45, 50)]
 # the literal [0.112, 0.38] reading of the published HSV value range
 NARROW_V = "hsv.v.lo = 0.112\nhsv.v.hi = 0.38\n"
+
+
+@pytest.fixture
+def fresh_tables():
+    """No interval table built yet, as at the start of a new process."""
+    skinfilter._table.cache_clear()
+
+
+def count_conversions(monkeypatch) -> dict:
+    """Count the HSV and YCbCr conversions, which run through ``to_space``."""
+    calls = dict(image_to_hsv=0, image_to_ycbcr=0)
+    for name in calls:
+        convert = getattr(skinfilter, name)
+
+        def counted(image, name=name, convert=convert):
+            calls[name] += 1
+            return convert(image)
+
+        monkeypatch.setattr(skinfilter, name, counted)
+    return calls
 
 
 def make_image(h, w, color=(0, 0, 0)):

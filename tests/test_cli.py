@@ -11,7 +11,7 @@ from lumaswitch.mlp import init_model, load_model, save_model
 from lumaswitch import skinfilter
 from lumaswitch.skinfilter import ColorSpaceId, to_space
 
-from conftest import SKIN, make_image, make_patch_image, read_mask
+from conftest import SKIN, count_conversions, make_image, make_patch_image, read_mask
 
 
 def write_ppm(path, image):
@@ -219,20 +219,6 @@ def test_stream_directory(tmp_path, capsys):
     assert {l["blob_size"] for l in lines} == {256}
 
 
-def count_conversions(monkeypatch) -> dict:
-    """Count the HSV and YCbCr conversions, which run through ``to_space``."""
-    calls = dict(image_to_hsv=0, image_to_ycbcr=0)
-    for name in calls:
-        convert = getattr(skinfilter, name)
-
-        def counted(image, name=name, convert=convert):
-            calls[name] += 1
-            return convert(image)
-
-        monkeypatch.setattr(skinfilter, name, counted)
-    return calls
-
-
 def test_stream_ann_converts_each_frame_once_and_builds_no_table(tmp_path, monkeypatch, capsys):
     # ann's features need every pixel's HSV and YCbCr value: one conversion
     # each per frame, and no interval table on top of them
@@ -259,6 +245,7 @@ def test_table_strategies_convert_per_run_not_per_image(tmp_path, monkeypatch, c
     counts = []
     for inputs in (paths[:1], paths):
         calls.update(image_to_hsv=0, image_to_ycbcr=0)
+        skinfilter._table.cache_clear()  # each run is a new process
         out = tmp_path / f"out{len(inputs)}"
         assert main(["segment", "--strategy", strategy, "--out-dir", str(out), *inputs]) == 0
         assert len(capsys.readouterr().out.splitlines()) == len(inputs)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lumaswitch import skinfilter
 from lumaswitch.colorspace import feature_vector, rgb_to_hsv, rgb_to_ycbcr
 from lumaswitch.imaging import ImageBuffer
 from lumaswitch.skinfilter import (
@@ -17,8 +18,9 @@ from lumaswitch.skinfilter import (
     parse_filter_config,
     to_space,
 )
+from lumaswitch.switching import algorithm2_max_connected
 
-from conftest import NARROW_V, SKIN, make_image
+from conftest import NARROW_V, SKIN, count_conversions, make_image
 
 
 def test_default_ranges():
@@ -254,12 +256,49 @@ TABLE_DIGESTS = {
 }
 
 
+def tables(filt):
+    """The HSV and YCbCr interval tables that ``filt``'s uint8 planes are looked up in."""
+    spaces = ColorSpaceId.HSV, ColorSpaceId.YCBCR
+    return tuple(skinfilter._table(s, getattr(filt, s.name.lower())) for s in spaces)
+
+
 @pytest.mark.parametrize("text", TABLE_DIGESTS, ids=["default", "fractional", "full range"])
 def test_interval_tables_are_pinned(text):
     filt = parse_filter_config(text)
-    tables = filt._hsv_table, filt._ycbcr_table
-    digests = tuple(hashlib.sha256(t.astype("<u2").tobytes()).hexdigest() for t in tables)
+    digests = tuple(hashlib.sha256(t.astype("<u2").tobytes()).hexdigest() for t in tables(filt))
     assert digests == TABLE_DIGESTS[text]
+
+
+def test_filters_with_equal_ranges_share_their_tables():
+    hsv, ycbcr = tables(default_filter())
+    # a second default filter; the benchmark's filter, which differs only in
+    # RGB, a space no table reads; and bounds that compare equal: 100.0 == 100
+    integral = (ChannelRange(100.0, 125.0), ChannelRange(135.0, 170.0))
+    rgb_only = parse_filter_config("rgb.r.lo = 150\n")
+    for filt in (default_filter(), rgb_only, replace(default_filter(), ycbcr=integral)):
+        other_hsv, other_ycbcr = tables(filt)
+        assert other_hsv is hsv
+        assert other_ycbcr is ycbcr
+    new_hsv, same_ycbcr = tables(parse_filter_config("hsv.h.lo = 0.05\n"))
+    assert new_hsv is not hsv
+    assert same_ycbcr is ycbcr
+
+
+def test_shared_tables_are_read_only():
+    for table in tables(default_filter()):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_new_filter_objects_build_the_tables_once(fresh_tables, monkeypatch):
+    calls = count_conversions(monkeypatch)
+    counts = []
+    for _ in range(3):
+        calls.update(image_to_hsv=0, image_to_ycbcr=0)
+        algorithm2_max_connected(make_image(8, 8, SKIN), default_filter())
+        counts.append(dict(calls))
+    assert min(counts[0].values()) > 0  # the first call builds both tables
+    assert counts[1:] == [dict(image_to_hsv=0, image_to_ycbcr=0)] * 2
 
 
 @pytest.mark.parametrize("shape", [(1, 256), (7, 13), (480, 640), (1080, 1920)])

@@ -61,7 +61,9 @@ def count_span_calls(monkeypatch) -> Counter:
     return calls
 
 
-def test_every_tracer_span_is_called_where_the_benchmark_expects(tmp_path, monkeypatch):
+def test_every_tracer_span_is_called_where_the_benchmark_expects(tmp_path, monkeypatch, fresh_tables):
+    # the traced benchmark child is a new process, whose first maxconnected
+    # image builds the interval tables through the converters
     calls = count_span_calls(monkeypatch)
     spans = set(tracer_spans())
     frames = tmp_path / "frames"
